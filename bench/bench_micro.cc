@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: device service
 // times, the simulator's event throughput, LVM mapping, cost-model
-// interpolation, the target model's utilization computation (the solver's
-// inner loop), the incremental column evaluator, simplex projection, and a
+// interpolation, the target model's utilization computation, the batched
+// column evaluator (the solver's inner loop), simplex projection, and a
 // small end-to-end solve.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
@@ -292,50 +292,6 @@ void BM_TargetModelUtilizations(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetModelUtilizations)->Arg(20)->Arg(40)->Arg(160);
 
-void BM_TargetModelColumnFull(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = 4;
-  Rng rng(3);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  Layout layout = Layout::StripeEverythingEverywhere(n, m);
-  // The baseline engine's finite-difference unit of work: one full O(N²)
-  // column evaluation after perturbing one entry.
-  int i = 0;
-  for (auto _ : state) {
-    layout.Set(i, 0, 0.7);
-    benchmark::DoNotOptimize(model.TargetUtilization(ws, layout, 0));
-    layout.Set(i, 0, 1.0 / m);
-    i = (i + 1) % n;
-  }
-}
-BENCHMARK(BM_TargetModelColumnFull)->Arg(20)->Arg(40)->Arg(160);
-
-void BM_TargetModelColumnIncremental(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = 4;
-  Rng rng(3);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  Layout layout = Layout::StripeEverythingEverywhere(n, m);
-  // The cached engine's unit of work: the same perturbation priced as a
-  // rank-1 update against the column context.
-  auto ctx = model.MakeColumnEvaluator(ws, 0);
-  ctx->Rebuild(layout);
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx->WithObject(i, 0.7));
-    i = (i + 1) % n;
-  }
-}
-BENCHMARK(BM_TargetModelColumnIncremental)->Arg(20)->Arg(40)->Arg(160);
-
 void BM_GridInterpAt(benchmark::State& state) {
   // Baseline for BM_GridInterpAtWithGrad: value-only lookups. A central
   // difference needs 2·dims of these per gradient, the fused pass one.
@@ -368,8 +324,8 @@ void BM_GridInterpAtWithGrad(benchmark::State& state) {
 BENCHMARK(BM_GridInterpAtWithGrad);
 
 void BM_TargetModelColumnBatched(benchmark::State& state) {
-  // The analytic engine's value unit of work: one SoA-batched µ_j pass
-  // (same answer as BM_TargetModelColumnFull's scalar loop, restructured
+  // The solver's value unit of work: one SoA-batched µ_j pass (same
+  // answer as TargetModel::TargetUtilization's scalar loop, restructured
   // over contiguous arrays).
   const int n = static_cast<int>(state.range(0));
   const int m = 4;
@@ -388,10 +344,8 @@ void BM_TargetModelColumnBatched(benchmark::State& state) {
 BENCHMARK(BM_TargetModelColumnBatched)->Arg(20)->Arg(40)->Arg(160);
 
 void BM_TargetModelColumnGradient(benchmark::State& state) {
-  // The analytic engine's gradient unit of work: one fused pass returning
-  // µ_j and all N partials ∂µ_j/∂L_ij. The FD engine needs 2·N rank-1
-  // incremental evaluations (BM_TargetModelColumnIncremental) for the
-  // same column gradient.
+  // The solver's gradient unit of work: one fused pass returning µ_j and
+  // all N partials ∂µ_j/∂L_ij.
   const int n = static_cast<int>(state.range(0));
   const int m = 4;
   Rng rng(3);
@@ -524,37 +478,6 @@ void BM_SolverSmallProblem(benchmark::State& state) {
   nlp.num_targets = m;
   nlp.object_sizes.assign(static_cast<size_t>(n), kGiB);
   nlp.target_capacities.assign(static_cast<size_t>(m), 20 * kGiB);
-  nlp.target_utilization = [&](const Layout& l, int j) {
-    return model.TargetUtilization(ws, l, j);
-  };
-  SolverOptions options;
-  options.annealing_rounds = 2;
-  options.max_iterations_per_round = 10;
-  ProjectedGradientSolver solver(options);
-  const Layout seed = Layout::StripeEverythingEverywhere(n, m);
-  for (auto _ : state) {
-    auto r = solver.Solve(nlp, seed);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_SolverSmallProblem);
-
-void BM_SolverSmallProblemCached(benchmark::State& state) {
-  const int n = 10, m = 4;
-  Rng rng(5);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  LayoutNlpProblem nlp;
-  nlp.num_objects = n;
-  nlp.num_targets = m;
-  nlp.object_sizes.assign(static_cast<size_t>(n), kGiB);
-  nlp.target_capacities.assign(static_cast<size_t>(m), 20 * kGiB);
-  nlp.target_utilization = [&](const Layout& l, int j) {
-    return model.TargetUtilization(ws, l, j);
-  };
   nlp.make_column_eval = [&](int j) { return model.MakeColumnEvaluator(ws, j); };
   SolverOptions options;
   options.annealing_rounds = 2;
@@ -566,7 +489,7 @@ void BM_SolverSmallProblemCached(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ok());
   }
 }
-BENCHMARK(BM_SolverSmallProblemCached);
+BENCHMARK(BM_SolverSmallProblem);
 
 }  // namespace
 }  // namespace ldb

@@ -23,6 +23,45 @@ bool TargetHealth::AllHealthy() const {
   return true;
 }
 
+namespace {
+
+class DeratedColumnEvaluator final : public ColumnEvaluator {
+ public:
+  DeratedColumnEvaluator(std::unique_ptr<ColumnEvaluator> column,
+                         double derate)
+      : column_(std::move(column)), derate_(derate) {}
+
+  double Evaluate(const Layout& layout) override {
+    return derate_ <= 0.0 ? 0.0 : column_->Evaluate(layout) / derate_;
+  }
+
+  double EvaluateWithGradient(const Layout& layout, double* grad) override {
+    const size_t n = static_cast<size_t>(layout.num_objects());
+    if (derate_ <= 0.0) {
+      std::fill(grad, grad + n, 0.0);
+      return 0.0;
+    }
+    const double mu = column_->EvaluateWithGradient(layout, grad);
+    for (size_t i = 0; i < n; ++i) grad[i] /= derate_;
+    return mu / derate_;
+  }
+
+  int64_t interp_queries() const override {
+    return column_->interp_queries();
+  }
+
+ private:
+  std::unique_ptr<ColumnEvaluator> column_;
+  double derate_;
+};
+
+}  // namespace
+
+std::unique_ptr<ColumnEvaluator> DerateColumnEvaluator(
+    std::unique_ptr<ColumnEvaluator> column, double derate) {
+  return std::make_unique<DeratedColumnEvaluator>(std::move(column), derate);
+}
+
 Status TargetHealth::Validate(int num_targets) const {
   if (failed.size() != static_cast<size_t>(num_targets) ||
       derate.size() != static_cast<size_t>(num_targets)) {
@@ -390,19 +429,15 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     LayoutNlpProblem nlp = degraded.MakeNlp(&model);
     nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
     for (int i : displaced) nlp.frozen_rows[static_cast<size_t>(i)] = 0;
-    // Derate-aware objective; the incremental column caches and the
-    // analytic gradient engine both price raw µ_j, so column evaluators
-    // are disabled for the (small) polish solve — the solver probes
-    // make_column_eval and falls back to black-box finite differences.
-    auto base = nlp.target_utilization;
-    const std::vector<double> derate = ropts.target_derate;
-    nlp.target_utilization = [base, derate](const Layout& l, int j) {
-      const double d = derate[static_cast<size_t>(j)];
-      if (d <= 0.0) return 0.0;  // failed: constraints keep it empty
-      const double u = base(l, j);
-      return d >= 1.0 ? u : u / d;
+    // Derate-aware objective: the solver prices µ_j / d_j through the
+    // wrapped column evaluators; the raw scalar µ_j is dropped so nothing
+    // can read the un-derated objective by mistake.
+    auto column = nlp.make_column_eval;
+    nlp.make_column_eval = [column, derate = ropts.target_derate](int j) {
+      return DerateColumnEvaluator(column(j),
+                                   derate[static_cast<size_t>(j)]);
     };
-    nlp.make_column_eval = nullptr;
+    nlp.target_utilization = nullptr;
 
     ProjectedGradientSolver solver(options.solver);
     Result<SolverResult> polished = solver.Solve(nlp, layout);

@@ -2,10 +2,12 @@
 #define LAYOUTDB_CORE_REPLAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/problem.h"
 #include "core/regularize.h"
+#include "model/column_eval.h"
 #include "model/layout.h"
 #include "solver/layout_nlp.h"
 #include "storage/fault.h"
@@ -88,6 +90,13 @@ struct ReplanOptions {
   /// A replacement layout must beat the incumbent by at least this much.
   double improvement_epsilon = 1e-9;
 };
+
+/// Column evaluator of the replan polish objective µ_j / derate_j: value
+/// and gradient of `column` divided by `derate`. A failed column
+/// (derate <= 0) prices 0 with an all-zero gradient — allowed-target
+/// constraints keep it empty.
+std::unique_ptr<ColumnEvaluator> DerateColumnEvaluator(
+    std::unique_ptr<ColumnEvaluator> column, double derate);
 
 /// Outcome of failure-aware re-layout.
 struct ReplanResult {

@@ -56,8 +56,9 @@ class TargetModel {
                                    const Layout& layout,
                                    std::vector<double>* mu_ij = nullptr) const;
 
-  /// Computes µ_j for a single target — the hot path for the solver's
-  /// coordinate-wise finite differences, which only perturb one column.
+  /// Computes µ_j for a single target (the regularizer's per-column
+  /// repricing, and the scalar reference the batched column evaluators
+  /// are tested against).
   double TargetUtilization(const WorkloadSet& workloads, const Layout& layout,
                            int j) const;
 
@@ -65,25 +66,24 @@ class TargetModel {
   double MaxUtilization(const WorkloadSet& workloads,
                         const Layout& layout) const;
 
-  /// µ_ij of one already-transformed per-target workload under contention
-  /// factor `chi` (the Eq. 1 term, including the RAID member-cost
-  /// accounting). Exposed for the incremental column evaluator; all
-  /// utilization paths share this computation.
-  double PerObjectUtilization(const TargetModelInfo& target,
-                              const PerTargetWorkload& wij, double chi) const;
-
   const TargetModelInfo& target_info(int j) const {
     return targets_[static_cast<size_t>(j)];
   }
 
-  /// Creates an incremental evaluator for column `j` (see
-  /// model/column_eval.h). `workloads` must outlive the evaluator; call
-  /// Rebuild before the first use. Evaluators are independent — the solver
-  /// holds one per column and uses them concurrently.
+  /// Creates the batched value+gradient evaluator for column `j` (see
+  /// model/column_eval.h). `workloads` must outlive the evaluator.
+  /// Evaluators are independent — the solver holds one per column and uses
+  /// them concurrently.
   std::unique_ptr<ColumnEvaluator> MakeColumnEvaluator(
       const WorkloadSet& workloads, int j) const;
 
  private:
+  /// µ_ij of one already-transformed per-target workload under contention
+  /// factor `chi` (the Eq. 1 term, including the RAID member-cost
+  /// accounting).
+  double PerObjectUtilization(const TargetModelInfo& target,
+                              const PerTargetWorkload& wij, double chi) const;
+
   /// Shared implementation: µ_j for one target, optionally with the
   /// per-object contributions µ_ij (mu_i sized N on return).
   double TargetUtilizationInternal(const WorkloadSet& workloads,

@@ -11,9 +11,7 @@ bool LayoutNlpProblem::Gradient(const Layout& layout,
   const size_t um = static_cast<size_t>(num_targets);
   std::vector<double> col(un);
   for (int j = 0; j < num_targets; ++j) {
-    std::unique_ptr<ColumnEvaluator> eval = make_column_eval(j);
-    if (eval == nullptr || !eval->SupportsGradient()) return false;
-    eval->EvaluateWithGradient(layout, col.data());
+    make_column_eval(j)->EvaluateWithGradient(layout, col.data());
     for (size_t i = 0; i < un; ++i) {
       grad_out[i * um + static_cast<size_t>(j)] = col[i];
     }

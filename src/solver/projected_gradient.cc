@@ -24,13 +24,6 @@ int64_t NowNanos() {
       .count();
 }
 
-/// Which machinery the evaluation engine runs on.
-enum class EvalEngine {
-  kBlackBox,     ///< target_utilization only (full µ_j per evaluation)
-  kIncremental,  ///< column contexts: Rebuild + rank-1 WithObject FD
-  kAnalytic,     ///< column contexts: batched Evaluate / fused gradients
-};
-
 Status ValidateProblem(const LayoutNlpProblem& p, const Layout& initial) {
   if (p.num_objects <= 0 || p.num_targets <= 0) {
     return Status::InvalidArgument("problem dimensions must be positive");
@@ -45,8 +38,8 @@ Status ValidateProblem(const LayoutNlpProblem& p, const Layout& initial) {
   for (int64_t c : p.target_capacities) {
     if (c <= 0) return Status::InvalidArgument("capacities must be > 0");
   }
-  if (!p.target_utilization) {
-    return Status::InvalidArgument("target_utilization function required");
+  if (!p.make_column_eval) {
+    return Status::InvalidArgument("make_column_eval factory required");
   }
   if (initial.num_objects() != p.num_objects ||
       initial.num_targets() != p.num_targets) {
@@ -101,32 +94,26 @@ double SeparationPenalty(const LayoutNlpProblem& p, const Layout& layout) {
   return total;
 }
 
-/// Working evaluation state for one candidate layout: cached per-target
-/// utilizations, assigned bytes, per-target capacity-penalty terms, the
-/// separation penalty, and (when the problem provides them) the
-/// incremental per-column evaluators used by the finite-difference fast
-/// path. Refresh runs its per-column work on the pool when one is given;
-/// every reduction stays serial so results are thread-count invariant.
+/// Working evaluation state for one candidate layout: the per-column
+/// evaluators, cached per-target utilizations, assigned bytes, the
+/// capacity-penalty sum, and the separation penalty. Refresh runs its
+/// per-column work on the pool when one is given; every reduction stays
+/// serial so results are thread-count invariant.
 class Evaluator {
  public:
-  Evaluator(const LayoutNlpProblem& p, ThreadPool* pool, EvalEngine engine,
+  Evaluator(const LayoutNlpProblem& p, ThreadPool* pool,
             int64_t* eval_counter)
-      : p_(p), pool_(pool), engine_(engine), eval_counter_(eval_counter) {
-    if (engine_ != EvalEngine::kBlackBox && p.make_column_eval) {
-      contexts_.reserve(static_cast<size_t>(p.num_targets));
-      for (int j = 0; j < p.num_targets; ++j) {
-        contexts_.push_back(p.make_column_eval(j));
-      }
+      : p_(p), pool_(pool), eval_counter_(eval_counter) {
+    contexts_.reserve(static_cast<size_t>(p.num_targets));
+    for (int j = 0; j < p.num_targets; ++j) {
+      contexts_.push_back(p.make_column_eval(j));
     }
-    if (contexts_.empty()) engine_ = EvalEngine::kBlackBox;
     partners_.resize(static_cast<size_t>(p.num_objects));
     for (const auto& [a, b] : p.constraints.separate) {
       partners_[static_cast<size_t>(a)].push_back(b);
       partners_[static_cast<size_t>(b)].push_back(a);
     }
   }
-
-  EvalEngine engine() const { return engine_; }
 
   /// Fully (re)computes caches for `layout`. Column evaluations fan out
   /// over the pool; each writes its own slot.
@@ -135,14 +122,7 @@ class Evaluator {
     mu_.resize(static_cast<size_t>(m));
     auto column = [&](int, int64_t j) {
       const size_t uj = static_cast<size_t>(j);
-      if (engine_ == EvalEngine::kAnalytic) {
-        mu_[uj] = contexts_[uj]->Evaluate(layout);
-      } else if (engine_ == EvalEngine::kIncremental) {
-        contexts_[uj]->Rebuild(layout);
-        mu_[uj] = contexts_[uj]->Base();
-      } else {
-        mu_[uj] = p_.target_utilization(layout, static_cast<int>(j));
-      }
+      mu_[uj] = contexts_[uj]->Evaluate(layout);
     };
     if (pool_ != nullptr) {
       pool_->ParallelFor(m, column);
@@ -159,12 +139,9 @@ class Evaluator {
         bytes_[static_cast<size_t>(j)] += layout.At(i, j) * s;
       }
     }
-    penalty_terms_.resize(static_cast<size_t>(m));
     penalty_sum_ = 0.0;
     for (int j = 0; j < m; ++j) {
-      const double term = CapacityTerm(j, bytes_[static_cast<size_t>(j)]);
-      penalty_terms_[static_cast<size_t>(j)] = term;
-      penalty_sum_ += term;
+      penalty_sum_ += CapacityTerm(j, bytes_[static_cast<size_t>(j)]);
     }
     separation_ = SeparationPenalty(p_, layout);
   }
@@ -173,18 +150,6 @@ class Evaluator {
   double Objective(double temp, double penalty) const {
     return SmoothMax(mu_.data(), mu_.size(), temp) +
            penalty * (penalty_sum_ + separation_);
-  }
-
-  /// Composite objective with column j's µ, bytes, and the separation
-  /// penalty substituted — the allocation-free evaluation behind the
-  /// coordinate finite differences.
-  double ObjectiveWithColumn(int j, double mu_j, double bytes_j, double sep,
-                             double temp, double penalty) const {
-    const size_t uj = static_cast<size_t>(j);
-    return SmoothMaxSubstituted(mu_.data(), mu_.size(), uj, mu_j, temp) +
-           penalty *
-               (penalty_sum_ - penalty_terms_[uj] + CapacityTerm(j, bytes_j) +
-                sep);
   }
 
   /// Relative-overflow penalty term of one target.
@@ -206,19 +171,16 @@ class Evaluator {
   }
 
   ColumnEvaluator* context(int j) const {
-    return contexts_.empty() ? nullptr
-                             : contexts_[static_cast<size_t>(j)].get();
+    return contexts_[static_cast<size_t>(j)].get();
   }
 
-  /// Copies another evaluator's caches wholesale. Valid only when this
-  /// engine keeps no per-layout context state (the analytic engine's
-  /// contexts are pure batched kernels) — it spares the accepted-step
-  /// double evaluation: the line search just computed these exact values
-  /// for the accepted trial layout.
+  /// Copies another evaluator's caches wholesale. Valid because column
+  /// evaluators are pure functions of the layout — it spares the
+  /// accepted-step double evaluation: the line search just computed these
+  /// exact values for the accepted trial layout.
   void AdoptState(const Evaluator& o) {
     mu_ = o.mu_;
     bytes_ = o.bytes_;
-    penalty_terms_ = o.penalty_terms_;
     penalty_sum_ = o.penalty_sum_;
     separation_ = o.separation_;
   }
@@ -227,27 +189,22 @@ class Evaluator {
   /// summed serially in column order.
   int64_t TotalInterpQueries() const {
     int64_t total = 0;
-    for (const auto& ctx : contexts_) {
-      if (ctx != nullptr) total += ctx->interp_queries();
-    }
+    for (const auto& ctx : contexts_) total += ctx->interp_queries();
     return total;
   }
 
   double TrueMax() const { return *std::max_element(mu_.begin(), mu_.end()); }
   const std::vector<double>& mu() const { return mu_; }
   double bytes(int j) const { return bytes_[static_cast<size_t>(j)]; }
-  double separation() const { return separation_; }
 
  private:
   const LayoutNlpProblem& p_;
   ThreadPool* pool_;
-  EvalEngine engine_;
   int64_t* eval_counter_;
   std::vector<std::unique_ptr<ColumnEvaluator>> contexts_;
   std::vector<std::vector<int>> partners_;
   std::vector<double> mu_;
   std::vector<double> bytes_;
-  std::vector<double> penalty_terms_;
   double penalty_sum_ = 0.0;
   double separation_ = 0.0;
 };
@@ -346,7 +303,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   const int threads = ThreadPool::EffectiveThreads(options_.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  const int lanes = pool != nullptr ? pool->num_threads() : 1;
 
   SolverResult result;
   result.layout = initial;
@@ -359,65 +315,24 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
                           &sort_scratch);
   }
 
-  // Engine selection. Analytic mode needs evaluators with fused gradient
-  // support; without them (or in kFd mode) the finite-difference engine
-  // runs, through the incremental column caches when enabled. The choice
-  // depends only on the problem and options, never on thread count.
-  EvalEngine engine = EvalEngine::kBlackBox;
-  if (problem.make_column_eval) {
-    bool analytic_ok = false;
-    if (options_.gradient_mode == GradientMode::kAnalytic) {
-      const std::unique_ptr<ColumnEvaluator> probe =
-          problem.make_column_eval(0);
-      analytic_ok = probe != nullptr && probe->SupportsGradient();
-    }
-    engine = analytic_ok ? EvalEngine::kAnalytic
-             : options_.use_incremental_cache ? EvalEngine::kIncremental
-                                              : EvalEngine::kBlackBox;
-  }
-
-  const int64_t solve_t0 = NowNanos();
-  Evaluator eval(problem, pool.get(), engine,
-                 &result.objective_evaluations);
-  engine = eval.engine();  // honor the evaluator's downgrade, if any
+  Evaluator eval(problem, pool.get(), &result.objective_evaluations);
   {
     const int64_t t0 = NowNanos();
     eval.Refresh(result.layout);
     result.profile.refresh.calls += 1;
     result.profile.refresh.ns += NowNanos() - t0;
   }
-  if (options_.record_trace) {
-    result.trace.push_back({0, NowNanos() - solve_t0, eval.TrueMax()});
-  }
-  // Line-search evaluator: full refreshes only. The analytic engine gives
-  // it the batched per-column kernels; otherwise it prices µ_j black-box
-  // (no incremental contexts — those would be rebuilt per trial anyway).
-  Evaluator trial_eval(problem, pool.get(),
-                       engine == EvalEngine::kAnalytic
-                           ? EvalEngine::kAnalytic
-                           : EvalEngine::kBlackBox,
-                       &result.objective_evaluations);
+  // Line-search evaluator: value-only refreshes of trial layouts.
+  Evaluator trial_eval(problem, pool.get(), &result.objective_evaluations);
 
   Layout& x = result.layout;
   std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  // Analytic sweep scratch: per-column ∂µ_j/∂L_·j slots (column-major so
+  // Gradient sweep scratch: per-column ∂µ_j/∂L_·j slots (column-major so
   // each parallel column task writes one contiguous span), SmoothMax
   // weights, and capacity-penalty slopes.
-  std::vector<double> dmu;
-  std::vector<double> smw;
-  std::vector<double> dcap;
-  if (engine == EvalEngine::kAnalytic) {
-    dmu.resize(static_cast<size_t>(n) * static_cast<size_t>(m));
-    smw.resize(static_cast<size_t>(m));
-    dcap.resize(static_cast<size_t>(m));
-  }
-  // Per-lane scratch layouts for the fallback (black-box) FD path; each
-  // lane perturbs its own copy of x, never x itself.
-  std::vector<Layout> fd_scratch(static_cast<size_t>(lanes), Layout(1, 1));
-  std::vector<char> fd_scratch_fresh(static_cast<size_t>(lanes), 0);
-  // Per-column effort counters, summed serially after each parallel sweep.
-  std::vector<int64_t> col_full(static_cast<size_t>(m));
-  std::vector<int64_t> col_inc(static_cast<size_t>(m));
+  std::vector<double> dmu(static_cast<size_t>(n) * static_cast<size_t>(m));
+  std::vector<double> smw(static_cast<size_t>(m));
+  std::vector<double> dcap(static_cast<size_t>(m));
   Layout trial(n, m);
   double step = options_.initial_step;
 
@@ -430,136 +345,59 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       ++result.iterations;
 
       const int64_t grad_t0 = NowNanos();
-      if (engine == EvalEngine::kAnalytic) {
-        // Fused analytic sweep: one batched value+gradient pass per column
-        // fills ∂µ_j/∂L_·j into that column's disjoint dmu span; the
-        // SmoothMax and penalty compositions are then chain-ruled serially
-        // in index order, so the gradient is bit-identical for every
-        // thread count. Cost per step: M kernel passes, not 2·N·M
-        // objective perturbations.
-        auto grad_column = [&](int, int64_t jj) {
-          const size_t uj = static_cast<size_t>(jj);
-          eval.context(static_cast<int>(jj))
-              ->EvaluateWithGradient(x, &dmu[uj * static_cast<size_t>(n)]);
-        };
-        if (pool != nullptr) {
-          pool->ParallelFor(m, grad_column);
-        } else {
-          for (int j = 0; j < m; ++j) grad_column(0, j);
-        }
-        result.gradient_evaluations += m;
-
-        // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
-        // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
-        const std::vector<double>& mu = eval.mu();
-        double vmax = mu[0];
-        for (double v : mu) vmax = std::max(vmax, v);
-        double wsum = 0.0;
-        for (int j = 0; j < m; ++j) {
-          const size_t uj = static_cast<size_t>(j);
-          smw[uj] = std::exp(temp * (mu[uj] - vmax));
-          wsum += smw[uj];
-        }
-        for (int j = 0; j < m; ++j) smw[static_cast<size_t>(j)] /= wsum;
-        // Capacity penalty max(0, over)² with over = (bytes−cap)/cap:
-        // slope in bytes is 2·over/cap on over-full targets, 0 elsewhere
-        // (0 is the valid subgradient at the kink).
-        for (int j = 0; j < m; ++j) {
-          const size_t uj = static_cast<size_t>(j);
-          const double cap = static_cast<double>(
-              problem.target_capacities[static_cast<size_t>(j)]);
-          const double over = (eval.bytes(j) - cap) / cap;
-          dcap[uj] = over > 0.0 ? 2.0 * over / cap : 0.0;
-        }
-        for (int i = 0; i < n; ++i) {
-          double* grow = &grad[static_cast<size_t>(i) * static_cast<size_t>(m)];
-          if (RowFrozen(problem, i)) {
-            for (int j = 0; j < m; ++j) grow[j] = 0.0;
-            continue;
-          }
-          const double si = static_cast<double>(
-              problem.object_sizes[static_cast<size_t>(i)]);
-          for (int j = 0; j < m; ++j) {
-            const size_t uj = static_cast<size_t>(j);
-            grow[j] = smw[uj] * dmu[uj * static_cast<size_t>(n) +
-                                    static_cast<size_t>(i)] +
-                      penalty * (dcap[uj] * si + eval.PartnerMass(i, j, x));
-          }
-        }
-      } else {
-      // Central finite differences over the (i, j) grid, one column per
-      // task. The incremental contexts price each perturbation as a rank-1
-      // update; without them a lane-local layout copy feeds the black-box
-      // µ_j. Gradient entries land in disjoint slots, so the outcome is
-      // independent of how columns are scheduled over lanes.
-      const double h = options_.fd_step;
-      std::fill(fd_scratch_fresh.begin(), fd_scratch_fresh.end(), 0);
-      auto fd_column = [&](int rank, int64_t jj) {
-        const int j = static_cast<int>(jj);
-        const size_t uj = static_cast<size_t>(j);
-        ColumnEvaluator* ctx = eval.context(j);
-        Layout* scratch = nullptr;
-        if (ctx == nullptr) {
-          scratch = &fd_scratch[static_cast<size_t>(rank)];
-          if (!fd_scratch_fresh[static_cast<size_t>(rank)]) {
-            *scratch = x;  // one copy per lane per iteration
-            fd_scratch_fresh[static_cast<size_t>(rank)] = 1;
-          }
-        }
-        int64_t full = 0;
-        int64_t inc = 0;
-        const double bytes_j = eval.bytes(j);
-        const double sep = eval.separation();
-        for (int i = 0; i < n; ++i) {
-          if (RowFrozen(problem, i)) {
-            grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] = 0.0;
-            continue;
-          }
-          const double si = static_cast<double>(
-              problem.object_sizes[static_cast<size_t>(i)]);
-          const double v = x.At(i, j);
-          const double lo = std::max(0.0, v - h);
-          const double hi = std::min(1.0, v + h);
-          if (hi - lo < 1e-12) {
-            grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] = 0.0;
-            continue;
-          }
-          double mu_hi;
-          double mu_lo;
-          if (ctx != nullptr) {
-            mu_hi = ctx->WithObject(i, hi);
-            mu_lo = ctx->WithObject(i, lo);
-            inc += 2;
-          } else {
-            scratch->Set(i, j, hi);
-            mu_hi = problem.target_utilization(*scratch, j);
-            scratch->Set(i, j, lo);
-            mu_lo = problem.target_utilization(*scratch, j);
-            scratch->Set(i, j, v);
-            full += 2;
-          }
-          const double pm = eval.PartnerMass(i, j, x);
-          const double f_hi = eval.ObjectiveWithColumn(
-              j, mu_hi, bytes_j + (hi - v) * si, sep + (hi - v) * pm, temp,
-              penalty);
-          const double f_lo = eval.ObjectiveWithColumn(
-              j, mu_lo, bytes_j + (lo - v) * si, sep + (lo - v) * pm, temp,
-              penalty);
-          grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] =
-              (f_hi - f_lo) / (hi - lo);
-        }
-        col_full[uj] = full;
-        col_inc[uj] = inc;
+      // Fused gradient sweep: one batched value+gradient pass per column
+      // fills ∂µ_j/∂L_·j into that column's disjoint dmu span; the
+      // SmoothMax and penalty compositions are then chain-ruled serially
+      // in index order, so the gradient is bit-identical for every
+      // thread count. Cost per step: M kernel passes.
+      auto grad_column = [&](int, int64_t jj) {
+        const size_t uj = static_cast<size_t>(jj);
+        eval.context(static_cast<int>(jj))
+            ->EvaluateWithGradient(x, &dmu[uj * static_cast<size_t>(n)]);
       };
       if (pool != nullptr) {
-        pool->ParallelFor(m, fd_column);
+        pool->ParallelFor(m, grad_column);
       } else {
-        for (int j = 0; j < m; ++j) fd_column(0, j);
+        for (int j = 0; j < m; ++j) grad_column(0, j);
       }
+      result.gradient_evaluations += m;
+
+      // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
+      // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
+      const std::vector<double>& mu = eval.mu();
+      double vmax = mu[0];
+      for (double v : mu) vmax = std::max(vmax, v);
+      double wsum = 0.0;
       for (int j = 0; j < m; ++j) {
-        result.objective_evaluations += col_full[static_cast<size_t>(j)];
-        result.incremental_evaluations += col_inc[static_cast<size_t>(j)];
+        const size_t uj = static_cast<size_t>(j);
+        smw[uj] = std::exp(temp * (mu[uj] - vmax));
+        wsum += smw[uj];
       }
+      for (int j = 0; j < m; ++j) smw[static_cast<size_t>(j)] /= wsum;
+      // Capacity penalty max(0, over)² with over = (bytes−cap)/cap:
+      // slope in bytes is 2·over/cap on over-full targets, 0 elsewhere
+      // (0 is the valid subgradient at the kink).
+      for (int j = 0; j < m; ++j) {
+        const size_t uj = static_cast<size_t>(j);
+        const double cap = static_cast<double>(
+            problem.target_capacities[static_cast<size_t>(j)]);
+        const double over = (eval.bytes(j) - cap) / cap;
+        dcap[uj] = over > 0.0 ? 2.0 * over / cap : 0.0;
+      }
+      for (int i = 0; i < n; ++i) {
+        double* grow = &grad[static_cast<size_t>(i) * static_cast<size_t>(m)];
+        if (RowFrozen(problem, i)) {
+          for (int j = 0; j < m; ++j) grow[j] = 0.0;
+          continue;
+        }
+        const double si = static_cast<double>(
+            problem.object_sizes[static_cast<size_t>(i)]);
+        for (int j = 0; j < m; ++j) {
+          const size_t uj = static_cast<size_t>(j);
+          grow[j] = smw[uj] * dmu[uj * static_cast<size_t>(n) +
+                                  static_cast<size_t>(i)] +
+                    penalty * (dcap[uj] * si + eval.PartnerMass(i, j, x));
+        }
       }
       result.profile.gradient.calls += 1;
       result.profile.gradient.ns += NowNanos() - grad_t0;
@@ -601,22 +439,14 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       x = trial;
       {
         const int64_t rf_t0 = NowNanos();
-        if (engine == EvalEngine::kAnalytic) {
-          // trial_eval just priced the accepted layout with the same
-          // stateless batched kernels — adopt its caches instead of
-          // paying the refresh twice.
-          eval.AdoptState(trial_eval);
-        } else {
-          eval.Refresh(x);
-        }
+        // trial_eval just priced the accepted layout with the same
+        // stateless batched kernels — adopt its caches instead of paying
+        // the refresh twice.
+        eval.AdoptState(trial_eval);
         result.profile.refresh.calls += 1;
         result.profile.refresh.ns += NowNanos() - rf_t0;
       }
       f = eval.Objective(temp, penalty);
-      if (options_.record_trace) {
-        result.trace.push_back(
-            {result.iterations, NowNanos() - solve_t0, eval.TrueMax()});
-      }
       step = std::min(options_.initial_step, alpha * 2.0);
       if (improvement < options_.tolerance) {
         if (++stall >= options_.patience) break;

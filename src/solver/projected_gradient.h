@@ -6,8 +6,8 @@
 
 namespace ldb {
 
-/// Generic local NLP solver for the layout problem, playing the role MINOS
-/// plays in the paper: given an initial valid layout, locally minimize the
+/// Local NLP solver for the layout problem, playing the role MINOS plays
+/// in the paper: given an initial valid layout, locally minimize the
 /// (non-convex) max-utilization objective subject to the integrity and
 /// capacity constraints.
 ///
@@ -16,20 +16,15 @@ namespace ldb {
 ///    whose temperature is annealed upward across rounds;
 ///  * capacity constraints enter as a quadratic penalty whose weight is
 ///    annealed upward in lock-step;
-///  * each iteration takes a projected-gradient step: central finite
-///    differences over the black-box µ_j (perturbing L_ij only requires
-///    re-evaluating target j — the structure exploited for speed), a
-///    backtracking Armijo line search, and per-row Euclidean projection
-///    back onto the unit simplex;
-///  * when the problem supplies incremental column evaluators
-///    (LayoutNlpProblem::make_column_eval), each finite-difference
-///    perturbation is priced as a rank-1 cache update — O(N) instead of a
-///    full O(N²) column recomputation — and the inner loop allocates
-///    nothing;
-///  * with SolverOptions::num_threads != 1 the finite-difference columns
-///    are evaluated concurrently. Gradient entries and effort counters are
-///    written to disjoint index-addressed slots and reduced serially, so
-///    the result is bit-identical for every thread count;
+///  * each iteration takes a projected-gradient step: one fused
+///    value+gradient pass per column through the problem's column
+///    evaluators (LayoutNlpProblem::make_column_eval), chain-ruled through
+///    the smooth max and the penalties, then a backtracking Armijo line
+///    search and per-row Euclidean projection back onto the unit simplex;
+///  * with SolverOptions::num_threads != 1 the column passes run
+///    concurrently. Gradient entries are written to disjoint
+///    index-addressed slots and reduced serially, so the result is
+///    bit-identical for every thread count;
 ///  * like MINOS, the result is a locally optimal, generally non-regular
 ///    layout that depends on the initial point.
 class ProjectedGradientSolver {
@@ -40,7 +35,7 @@ class ProjectedGradientSolver {
   /// first, so any non-negative seed is acceptable).
   ///
   /// \returns InvalidArgument for malformed problems (dimension mismatches,
-  ///   missing utilization function, non-positive sizes/capacities).
+  ///   missing column-evaluator factory, non-positive sizes/capacities).
   Result<SolverResult> Solve(const LayoutNlpProblem& problem,
                              const Layout& initial) const;
 

@@ -287,8 +287,8 @@ void GridInterpolator::AtWithGradBatch(size_t count,
     }
     return;
   }
-  double point[kMaxDims];
-  double grad[kMaxDims];
+  double point[kMaxDims] = {};
+  double grad[kMaxDims] = {};
   for (size_t q = 0; q < count; ++q) {
     for (size_t d = 0; d < dims; ++d) point[d] = coords[d][q];
     out[q] = ValueGradCore(point, dims, grad);

@@ -25,6 +25,7 @@
 #include "solver/simplex.h"
 #include "storage/disk.h"
 #include "storage/lvm.h"
+#include "toy_nlp.h"
 #include "trace/analyzer.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -163,6 +164,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- disk model
 
+}  // namespace
+
+/// Prints a drive as its model name, so the parameterised case names are
+/// stable; gtest's default byte dump includes a heap address that changes
+/// from run to run. Declared outside the unnamed namespace so that
+/// argument-dependent lookup from gtest finds it.
+void PrintTo(const DiskParams& params, std::ostream* os) {
+  *os << params.model_name;
+}
+
+namespace {
+
 class DiskProperty : public ::testing::TestWithParam<DiskParams> {};
 
 TEST_P(DiskProperty, ServiceTimeInvariants) {
@@ -257,18 +270,9 @@ TEST_P(SolverProperty, NeverWorseThanSeedAndAlwaysFeasible) {
   for (auto& r : rates) r = rng.Uniform(1, 50);
   for (auto& s : speeds) s = rng.Uniform(0.5, 4);
 
-  LayoutNlpProblem p;
-  p.num_objects = n;
-  p.num_targets = m;
-  p.object_sizes.assign(static_cast<size_t>(n), kGiB);
-  p.target_capacities.assign(static_cast<size_t>(m), 50 * kGiB);
-  p.target_utilization = [rates, speeds](const Layout& l, int j) {
-    double load = 0;
-    for (int i = 0; i < l.num_objects(); ++i) {
-      load += rates[static_cast<size_t>(i)] * l.At(i, j);
-    }
-    return load / speeds[static_cast<size_t>(j)];
-  };
+  const LayoutNlpProblem p = MakeLinearProblem(
+      rates, speeds, std::vector<int64_t>(static_cast<size_t>(n), kGiB),
+      std::vector<int64_t>(static_cast<size_t>(m), 50 * kGiB));
 
   // Random simplex seed.
   Layout seed(n, m);
@@ -685,12 +689,13 @@ GradientInstance MakeGradientInstance(int n, int m, Rng* rng) {
 class GradientProperty : public ::testing::TestWithParam<uint64_t> {};
 
 /// Subgradient containment sweep shared by the dense and sparse overlap
-/// representations: every analytic Jacobian entry must lie inside the
-/// interval spanned by the one-sided difference slopes.
-void CheckGradientContainment(const GradientInstance& gi, Layout& layout,
+/// representations and the replan polish's derated objective: every
+/// analytic Jacobian entry must lie inside the interval spanned by the
+/// one-sided difference slopes of the scalar target_utilization.
+void CheckGradientContainment(const LayoutNlpProblem& nlp, Layout& layout,
                               int n, int m) {
   std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  ASSERT_TRUE(gi.nlp.Gradient(layout, grad.data()));
+  ASSERT_TRUE(nlp.Gradient(layout, grad.data()));
 
   const double h = 1e-6;
   for (int j = 0; j < m; ++j) {
@@ -699,17 +704,17 @@ void CheckGradientContainment(const GradientInstance& gi, Layout& layout,
           grad[static_cast<size_t>(i) * static_cast<size_t>(m) +
                static_cast<size_t>(j)];
       const double v = layout.At(i, j);
-      const double mu0 = gi.nlp.target_utilization(layout, j);
+      const double mu0 = nlp.target_utilization(layout, j);
       double d_plus = 0.0, d_minus = 0.0;
       bool have_minus = false;
       {
         layout.Set(i, j, v + h);
-        d_plus = (gi.nlp.target_utilization(layout, j) - mu0) / h;
+        d_plus = (nlp.target_utilization(layout, j) - mu0) / h;
         layout.Set(i, j, v);
       }
       if (v >= h) {
         layout.Set(i, j, v - h);
-        d_minus = (mu0 - gi.nlp.target_utilization(layout, j)) / h;
+        d_minus = (mu0 - nlp.target_utilization(layout, j)) / h;
         layout.Set(i, j, v);
         have_minus = true;
       }
@@ -752,7 +757,31 @@ TEST_P(GradientProperty, AnalyticMatchesDirectionalDifferences) {
   const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{3}));
   GradientInstance gi = MakeGradientInstance(n, m, &rng);
   Layout layout = MakeGradientLayout(n, m, &rng);
-  CheckGradientContainment(gi, layout, n, m);
+  CheckGradientContainment(gi.nlp, layout, n, m);
+
+  // The replan polish's objective µ_j / d_j through DerateColumnEvaluator,
+  // against the derated scalar. Column 0 is failed (d = 0).
+  std::vector<double> derate(static_cast<size_t>(m), 0.0);
+  for (int j = 1; j < m; ++j) {
+    derate[static_cast<size_t>(j)] = rng.Uniform(0.2, 1.0);
+  }
+  LayoutNlpProblem derated = gi.nlp;
+  derated.target_utilization = [base = gi.nlp.target_utilization, derate](
+                                   const Layout& l, int j) {
+    const double d = derate[static_cast<size_t>(j)];
+    return d <= 0.0 ? 0.0 : base(l, j) / d;
+  };
+  derated.make_column_eval = [base = gi.nlp.make_column_eval,
+                              derate](int j) {
+    return DerateColumnEvaluator(base(j), derate[static_cast<size_t>(j)]);
+  };
+  CheckGradientContainment(derated, layout, n, m);
+  // A failed column prices exactly zero with an all-zero gradient.
+  const std::unique_ptr<ColumnEvaluator> failed = derated.make_column_eval(0);
+  std::vector<double> grad(static_cast<size_t>(n), 1.0);
+  EXPECT_EQ(failed->Evaluate(layout), 0.0);
+  EXPECT_EQ(failed->EvaluateWithGradient(layout, grad.data()), 0.0);
+  for (const double g : grad) EXPECT_EQ(g, 0.0);
 }
 
 TEST_P(GradientProperty, SparseAnalyticMatchesDirectionalDifferences) {
@@ -774,7 +803,7 @@ TEST_P(GradientProperty, SparseAnalyticMatchesDirectionalDifferences) {
   ASSERT_TRUE((*gi.workloads)[0].has_sparse_overlap());
   ASSERT_TRUE((*gi.workloads)[0].overlap.empty());
   Layout layout = MakeGradientLayout(n, m, &rng);
-  CheckGradientContainment(gi, layout, n, m);
+  CheckGradientContainment(gi.nlp, layout, n, m);
 }
 
 TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
@@ -798,7 +827,7 @@ TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
     }
     for (int j = 0; j < m; ++j) {
       auto ctx = gi.nlp.make_column_eval(j);
-      ASSERT_TRUE(ctx != nullptr && ctx->SupportsGradient());
+      ASSERT_TRUE(ctx != nullptr);
       const double batched = ctx->Evaluate(layout);
       const double scalar = gi.nlp.target_utilization(layout, j);
       EXPECT_NEAR(batched, scalar, 1e-9 * std::max(1.0, std::fabs(scalar)))

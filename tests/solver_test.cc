@@ -9,6 +9,7 @@
 #include "solver/projected_gradient.h"
 #include "solver/randomized.h"
 #include "solver/simplex.h"
+#include "toy_nlp.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -94,34 +95,11 @@ TEST(SmoothMaxTest, StableForLargeValues) {
 
 // ---------------------------------------------------------------- Solver
 
-/// Analytic toy problem: µ_j = (weighted load on target j) / speed_j, no
-/// interference. The optimum spreads load proportionally to speed.
-LayoutNlpProblem MakeLinearProblem(std::vector<double> rates,
-                                   std::vector<double> speeds,
-                                   std::vector<int64_t> sizes = {},
-                                   std::vector<int64_t> caps = {}) {
-  LayoutNlpProblem p;
-  p.num_objects = static_cast<int>(rates.size());
-  p.num_targets = static_cast<int>(speeds.size());
-  p.object_sizes =
-      sizes.empty() ? std::vector<int64_t>(rates.size(), kGiB) : sizes;
-  p.target_capacities =
-      caps.empty() ? std::vector<int64_t>(speeds.size(), 100 * kGiB) : caps;
-  p.target_utilization = [rates, speeds](const Layout& l, int j) {
-    double load = 0;
-    for (int i = 0; i < l.num_objects(); ++i) {
-      load += rates[static_cast<size_t>(i)] * l.At(i, j);
-    }
-    return load / speeds[static_cast<size_t>(j)];
-  };
-  return p;
-}
-
 TEST(SolverTest, RejectsMalformedProblems) {
   ProjectedGradientSolver solver;
   LayoutNlpProblem p = MakeLinearProblem({1, 2}, {1, 1});
   Layout init = Layout::StripeEverythingEverywhere(2, 2);
-  p.target_utilization = nullptr;
+  p.make_column_eval = nullptr;
   EXPECT_FALSE(solver.Solve(p, init).ok());
   p = MakeLinearProblem({1, 2}, {1, 1});
   EXPECT_FALSE(
@@ -200,16 +178,9 @@ TEST(SolverTest, SolutionRowsStayOnSimplex) {
 }
 
 TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
-  // µ_j = Σ load + quadratic interaction between co-located objects 0,1.
-  LayoutNlpProblem p;
-  p.num_objects = 2;
-  p.num_targets = 2;
-  p.object_sizes = {kGiB, kGiB};
-  p.target_capacities = {10 * kGiB, 10 * kGiB};
-  p.target_utilization = [](const Layout& l, int j) {
-    const double a = l.At(0, j), b = l.At(1, j);
-    return 0.3 * (a + b) + 2.0 * a * b;  // heavy interference term
-  };
+  // µ_j = Σ load + heavy quadratic interaction between co-located
+  // objects 0 and 1.
+  LayoutNlpProblem p = MakeInterferenceProblem();
   ProjectedGradientSolver solver;
   // SEE is a symmetric saddle of this objective — the same trap the paper
   // reports for MINOS (Section 4.2), and why its advisor seeds the solver
@@ -310,15 +281,7 @@ TEST(RandomizedSearchTest, ImprovesOnUnbalancedSeedAndStaysRegular) {
 TEST(RandomizedSearchTest, EscapesSeeSaddleUnlikeGradient) {
   // The interference objective whose SEE point traps the gradient solver
   // (symmetric saddle): random moves break the symmetry immediately.
-  LayoutNlpProblem p;
-  p.num_objects = 2;
-  p.num_targets = 2;
-  p.object_sizes = {kGiB, kGiB};
-  p.target_capacities = {10 * kGiB, 10 * kGiB};
-  p.target_utilization = [](const Layout& l, int j) {
-    const double a = l.At(0, j), b = l.At(1, j);
-    return 0.3 * (a + b) + 2.0 * a * b;
-  };
+  LayoutNlpProblem p = MakeInterferenceProblem();
   RandomizedSearchSolver solver;
   auto r = solver.Solve(p, Layout::StripeEverythingEverywhere(2, 2));
   ASSERT_TRUE(r.ok());
