@@ -75,19 +75,19 @@ int main(int argc, char** argv) {
                    rec.status().ToString().c_str());
       return;
     }
-    auto run = rig->Execute(rec->final_layout, &*olap, nullptr);
+    auto run = rig->Execute(RunSpec(rec->final_layout), &*olap, nullptr);
     if (!run.ok()) return;
     table.AddRow({name,
                   StrFormat("%.1f%%", 100 * rec->max_utilization_final),
-                  StrFormat("%.0f", run->elapsed_seconds),
+                  StrFormat("%.0f", run->run.elapsed_seconds),
                   StrFormat("%.2f", rec->total_seconds())});
   };
 
-  auto see_run = rig->Execute(SeeLayout(*rig), &*olap, nullptr);
+  auto see_run = rig->Execute(RunSpec(SeeLayout(*rig)), &*olap, nullptr);
   if (!see_run.ok()) return 1;
   table.AddRow({"SEE baseline (no advisor)",
                 StrFormat("%.1f%%", 100 * see_mu),
-                StrFormat("%.0f", see_run->elapsed_seconds), "-"});
+                StrFormat("%.0f", see_run->run.elapsed_seconds), "-"});
 
   run_variant("full advisor (default)", AdvisorOptions{}, nullptr);
 
@@ -128,11 +128,11 @@ int main(int argc, char** argv) {
                                         t0)
               .count();
       if (r.ok()) {
-        auto run = rig->Execute(r->layout, &*olap, nullptr);
+        auto run = rig->Execute(RunSpec(r->layout), &*olap, nullptr);
         if (run.ok()) {
           table.AddRow({"randomized search (DAD-style, Sec. 7)",
                         StrFormat("%.1f%%", 100 * r->max_utilization),
-                        StrFormat("%.0f", run->elapsed_seconds),
+                        StrFormat("%.0f", run->run.elapsed_seconds),
                         StrFormat("%.2f", secs)});
         }
       }
@@ -150,12 +150,12 @@ int main(int argc, char** argv) {
         LayoutAdvisor advisor;
         auto rec = advisor.Recommend(*est_problem);
         if (rec.ok()) {
-          auto run = rig->Execute(rec->final_layout, &*olap, nullptr);
+          auto run = rig->Execute(RunSpec(rec->final_layout), &*olap, nullptr);
           if (run.ok()) {
             // Estimated utilization is not comparable across workload
             // inputs; report the measured time only.
             table.AddRow({"estimator-driven workloads (no tracing)", "-",
-                          StrFormat("%.0f", run->elapsed_seconds),
+                          StrFormat("%.0f", run->run.elapsed_seconds),
                           StrFormat("%.2f", rec->total_seconds())});
           }
         }

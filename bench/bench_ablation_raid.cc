@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
     auto advised = AdviseForWorkload(*rig, &*olap, nullptr);
     std::string olap_cell = "n/a";
     if (advised.ok()) {
-      auto run = rig->Execute(advised->result.final_layout, &*olap, nullptr);
-      if (run.ok()) olap_cell = StrFormat("%.0f", run->elapsed_seconds);
+      auto run = rig->Execute(RunSpec(advised->result.final_layout), &*olap,
+                              nullptr);
+      if (run.ok()) olap_cell = StrFormat("%.0f", run->run.elapsed_seconds);
     }
 
     // OLTP side (TPC-C): write-heavy, exposes RAID5's parity penalty.
@@ -69,9 +70,10 @@ int main(int argc, char** argv) {
         auto advised_oltp = AdviseForWorkload(*oltp_rig, nullptr, &*oltp,
                                               AdvisorOptions{});
         if (advised_oltp.ok()) {
-          auto run = oltp_rig->Execute(advised_oltp->result.final_layout,
-                                       nullptr, &*oltp, /*duration=*/60.0);
-          if (run.ok()) oltp_cell = StrFormat("%.0f", run->tpm);
+          auto run =
+              oltp_rig->Execute(RunSpec(advised_oltp->result.final_layout),
+                                nullptr, &*oltp, /*duration=*/60.0);
+          if (run.ok()) oltp_cell = StrFormat("%.0f", run->run.tpm);
         }
       }
     }

@@ -61,6 +61,17 @@ AutopilotOptions LoopOptions(const BenchEnv& env) {
   return o;
 }
 
+// The rig's autopilot run: `layout` deployed, advised for `reference`.
+Result<RunReport> RunAutopilot(const ExperimentRig& rig, const Layout& layout,
+                               const WorkloadSet& reference,
+                               const OlapSpec* olap, const OltpSpec* oltp,
+                               const AutopilotOptions& options,
+                               double duration_s) {
+  RunSpec spec(layout);
+  spec.autopilot = options;
+  return rig.Execute(spec, olap, oltp, duration_s, reference);
+}
+
 struct PhaseScore {
   double autopilot_util = 0.0;
   double oracle_util = 0.0;
@@ -191,9 +202,8 @@ int main(int argc, char** argv) {
     WorkloadSet reference = *ws_day;
     bool static_worse_somewhere = false;
     for (const Phase& ph : phases) {
-      auto ap = rig->ExecuteWithAutopilot(current, reference, ph.olap,
-                                          ph.oltp, FaultPlan{},
-                                          LoopOptions(env), ph.duration_s);
+      auto ap = RunAutopilot(*rig, current, reference, ph.olap, ph.oltp,
+                             LoopOptions(env), ph.duration_s);
       if (!ap.ok()) {
         std::fprintf(stderr, "%s: %s\n", ph.name,
                      ap.status().ToString().c_str());
@@ -246,9 +256,8 @@ int main(int argc, char** argv) {
     Layout current = night_adv->layout;
     WorkloadSet reference = *ws_night;
     for (const Phase& ph : phases) {
-      auto ap = rig->ExecuteWithAutopilot(current, reference, ph.olap,
-                                          ph.oltp, FaultPlan{},
-                                          LoopOptions(env), ph.duration_s);
+      auto ap = RunAutopilot(*rig, current, reference, ph.olap, ph.oltp,
+                             LoopOptions(env), ph.duration_s);
       if (!ap.ok()) {
         std::fprintf(stderr, "%s: %s\n", ph.name,
                      ap.status().ToString().c_str());
@@ -284,9 +293,8 @@ int main(int argc, char** argv) {
   {
     AutopilotOptions gated = LoopOptions(env);
     gated.config.gate_min_gain = 0.9;  // no re-layout can gain 90 points
-    auto ap = rig->ExecuteWithAutopilot(night_adv->layout, *ws_night,
-                                        nullptr, &*oltp, FaultPlan{}, gated,
-                                        kDayS);
+    auto ap = RunAutopilot(*rig, night_adv->layout, *ws_night, nullptr, &*oltp,
+                           gated, kDayS);
     if (!ap.ok()) {
       std::fprintf(stderr, "gate stage: %s\n",
                    ap.status().ToString().c_str());
@@ -321,9 +329,8 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 8}) {
       AutopilotOptions o = LoopOptions(env);
       o.advisor.solver.num_threads = threads;
-      auto ap = rig->ExecuteWithAutopilot(night_adv->layout, *ws_night,
-                                          nullptr, &*oltp, FaultPlan{}, o,
-                                          kDayS);
+      auto ap = RunAutopilot(*rig, night_adv->layout, *ws_night, nullptr,
+                             &*oltp, o, kDayS);
       if (!ap.ok()) {
         std::fprintf(stderr, "determinism stage: %s\n",
                      ap.status().ToString().c_str());
@@ -351,11 +358,11 @@ int main(int argc, char** argv) {
     constexpr int kReps = 3;
     double base_wall = std::numeric_limits<double>::infinity();
     double ap_wall = std::numeric_limits<double>::infinity();
-    Result<RunResult> base = Status::Internal("unset");
+    Result<RunReport> base = Status::Internal("unset");
     Result<AutopilotReport> ap = Status::Internal("unset");
     for (int r = 0; r < kReps; ++r) {
       auto t0 = std::chrono::steady_clock::now();
-      base = rig->Execute(day_adv->layout, nullptr, &*oltp, kLongDayS);
+      base = rig->Execute(RunSpec(day_adv->layout), nullptr, &*oltp, kLongDayS);
       base_wall = std::min(base_wall, WallSeconds(t0));
       if (!base.ok()) return 1;
     }
@@ -363,17 +370,17 @@ int main(int argc, char** argv) {
     off.config.drift.threshold = std::numeric_limits<double>::infinity();
     for (int r = 0; r < kReps; ++r) {
       auto t0 = std::chrono::steady_clock::now();
-      ap = rig->ExecuteWithAutopilot(day_adv->layout, *ws_day, nullptr,
-                                     &*oltp, FaultPlan{}, off, kLongDayS);
+      ap = RunAutopilot(*rig, day_adv->layout, *ws_day, nullptr, &*oltp, off,
+                        kLongDayS);
       ap_wall = std::min(ap_wall, WallSeconds(t0));
       if (!ap.ok()) return 1;
     }
     bool identical =
-        base->elapsed_seconds == ap->run.elapsed_seconds &&
-        base->total_requests == ap->run.total_requests &&
-        base->tpm == ap->run.tpm;
-    for (size_t j = 0; identical && j < base->utilization.size(); ++j) {
-      identical = base->utilization[j] == ap->run.utilization[j];
+        base->run.elapsed_seconds == ap->run.elapsed_seconds &&
+        base->run.total_requests == ap->run.total_requests &&
+        base->run.tpm == ap->run.tpm;
+    for (size_t j = 0; identical && j < base->run.utilization.size(); ++j) {
+      identical = base->run.utilization[j] == ap->run.utilization[j];
     }
     // The hot-path budget: in deployment the analyzer rides on real I/O
     // completions, so its per-event CPU cost is measured against the mean

@@ -2,8 +2,8 @@
 // mid-run, and how much of the loss failure-aware re-layout wins back.
 //
 // Protocol (default 4-disk TPC-H rig, OLAP8):
-//   1. Differential self-check: ExecuteWithFaults with an *empty* fault
-//      plan must reproduce Execute exactly (exit 1 on mismatch).
+//   1. Differential self-check: a run with an *empty* fault plan must
+//      reproduce the fault-free run exactly (exit 1 on mismatch).
 //   2. Mid-run death: the advised layout runs with the busiest disk
 //      fail-stopping halfway through the healthy elapsed time; the fault
 //      counters (failed requests, degraded time) land in the JSON.
@@ -31,6 +31,16 @@ using namespace ldb;
 using namespace ldb::bench;
 
 namespace {
+
+// The rig's OLAP run of `layout` with `faults` armed.
+Result<RunResult> RunWithFaults(const ExperimentRig& rig, const Layout& layout,
+                                const OlapSpec& olap, const FaultPlan& faults) {
+  RunSpec spec(layout);
+  spec.faults = faults;
+  auto report = rig.Execute(spec, &olap, nullptr);
+  if (!report.ok()) return report.status();
+  return std::move(report).value().run;
+}
 
 double MaxUtil(const std::vector<double>& u) {
   return *std::max_element(u.begin(), u.end());
@@ -61,9 +71,9 @@ int main(int argc, char** argv) {
   JsonRows json;
 
   // ---- 1. Differential self-check: empty plan == no plan. ----
-  auto healthy = rig->Execute(layout, &*olap, nullptr);
+  auto healthy = RunWithFaults(*rig, layout, *olap, FaultPlan{});
   if (!healthy.ok()) return 1;
-  auto nofault = rig->ExecuteWithFaults(layout, &*olap, nullptr, FaultPlan{});
+  auto nofault = RunWithFaults(*rig, layout, *olap, FaultPlan{});
   if (!nofault.ok()) return 1;
   {
     const double tol = 1e-9;
@@ -103,7 +113,7 @@ int main(int argc, char** argv) {
     FaultPlan plan;
     plan.faults.push_back(
         {t_fail, victim, 0, FaultKind::kFailStop, 2.0, 0.1, 0.0});
-    auto run = rig->ExecuteWithFaults(layout, &*olap, nullptr, plan);
+    auto run = RunWithFaults(*rig, layout, *olap, plan);
     if (!run.ok()) return 1;
     std::printf(
         "mid-run death, no reaction: %.3fs elapsed, %llu requests failed, "
@@ -132,7 +142,7 @@ int main(int argc, char** argv) {
     FaultPlan plan;
     plan.faults.push_back(
         {0.0, victim, 0, FaultKind::kTransient, 2.0, 0.2, 0.0});
-    auto run = rig->ExecuteWithFaults(layout, &*olap, nullptr, plan);
+    auto run = RunWithFaults(*rig, layout, *olap, plan);
     if (!run.ok()) return 1;
     std::printf(
         "transient errors (p=0.2): %llu errors, %llu retries, %llu "
@@ -237,8 +247,7 @@ int main(int argc, char** argv) {
           est, model.TargetUtilization(problem.workloads, *candidates[c], j));
     }
     auto run =
-        rig->ExecuteWithFaults(*candidates[c], &*olap, nullptr,
-                               dead_from_start);
+        RunWithFaults(*rig, *candidates[c], *olap, dead_from_start);
     if (!run.ok()) return 1;
     for (const std::string& s : run->skipped_faults) {
       std::printf("  %s skipped fault: %s\n", names[c], s.c_str());

@@ -39,22 +39,22 @@ int main(int argc, char** argv) {
                    advised.status().ToString().c_str());
       return 1;
     }
-    auto see_run = rig->Execute(SeeLayout(*rig), &*olap, nullptr);
+    auto see_run = rig->Execute(RunSpec(SeeLayout(*rig)), &*olap, nullptr);
     auto opt_run =
-        rig->Execute(advised->result.final_layout, &*olap, nullptr);
+        rig->Execute(RunSpec(advised->result.final_layout), &*olap, nullptr);
     if (!see_run.ok() || !opt_run.ok()) return 1;
     const double speedup =
-        see_run->elapsed_seconds / opt_run->elapsed_seconds;
+        see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds;
     table.AddRow({olap->name,
-                  StrFormat("%.0f", see_run->elapsed_seconds),
-                  StrFormat("%.0f", opt_run->elapsed_seconds),
+                  StrFormat("%.0f", see_run->run.elapsed_seconds),
+                  StrFormat("%.0f", opt_run->run.elapsed_seconds),
                   StrFormat("%.2fx", speedup), r.paper});
     if (env.json) {
       json.BeginRow();
       json.Field("workload", olap->name);
       json.Field("concurrency", r.concurrency);
-      json.Field("see_seconds", see_run->elapsed_seconds);
-      json.Field("optimized_seconds", opt_run->elapsed_seconds);
+      json.Field("see_seconds", see_run->run.elapsed_seconds);
+      json.Field("optimized_seconds", opt_run->run.elapsed_seconds);
       json.Field("speedup", speedup);
       json.Field("paper_speedup", r.paper_speedup);
       json.Field("advisor_seconds", advised->result.total_seconds());

@@ -36,33 +36,34 @@ int main(int argc, char** argv) {
                  advised.status().ToString().c_str());
     return 1;
   }
-  auto see_run = rig->Execute(SeeLayout(*rig), &*olap, &*oltp);
-  auto opt_run = rig->Execute(advised->result.final_layout, &*olap, &*oltp);
+  auto see_run = rig->Execute(RunSpec(SeeLayout(*rig)), &*olap, &*oltp);
+  auto opt_run = rig->Execute(RunSpec(advised->result.final_layout), &*olap,
+                              &*oltp);
   if (!see_run.ok() || !opt_run.ok()) return 1;
 
   TextTable table({"Layout", "OLAP1-21 (s)", "OLTP (tpm)"});
-  table.AddRow({"SEE baseline", StrFormat("%.0f", see_run->elapsed_seconds),
-                StrFormat("%.0f", see_run->tpm)});
-  table.AddRow({"Optimized", StrFormat("%.0f", opt_run->elapsed_seconds),
-                StrFormat("%.0f", opt_run->tpm)});
+  table.AddRow({"SEE baseline", StrFormat("%.0f", see_run->run.elapsed_seconds),
+                StrFormat("%.0f", see_run->run.tpm)});
+  table.AddRow({"Optimized", StrFormat("%.0f", opt_run->run.elapsed_seconds),
+                StrFormat("%.0f", opt_run->run.tpm)});
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
       "OLAP speedup %.2fx (paper 1.43x); OLTP throughput ratio %.2fx "
       "(paper 1.18x)\n",
-      see_run->elapsed_seconds / opt_run->elapsed_seconds,
-      opt_run->tpm / see_run->tpm);
+      see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds,
+      opt_run->run.tpm / see_run->run.tpm);
   if (env.json) {
     JsonRows json;
     json.BeginRow();
     json.Field("workload", "consolidation-olap1-21");
-    json.Field("see_seconds", see_run->elapsed_seconds);
-    json.Field("optimized_seconds", opt_run->elapsed_seconds);
+    json.Field("see_seconds", see_run->run.elapsed_seconds);
+    json.Field("optimized_seconds", opt_run->run.elapsed_seconds);
     json.Field("speedup",
-               see_run->elapsed_seconds / opt_run->elapsed_seconds);
+               see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds);
     json.Field("paper_speedup", 1.43);
-    json.Field("see_tpm", see_run->tpm);
-    json.Field("optimized_tpm", opt_run->tpm);
-    json.Field("tpm_ratio", opt_run->tpm / see_run->tpm);
+    json.Field("see_tpm", see_run->run.tpm);
+    json.Field("optimized_tpm", opt_run->run.tpm);
+    json.Field("tpm_ratio", opt_run->run.tpm / see_run->run.tpm);
     json.Field("paper_tpm_ratio", 1.18);
     json.Field("advisor_seconds", advised->result.total_seconds());
     if (!json.WriteTo(env.json_path)) {

@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
     auto advised = AdviseForWorkload(*rig, &*olap, nullptr);
     if (!advised.ok()) return 1;
 
-    auto see_run = rig->Execute(SeeLayout(*rig), &*olap, nullptr);
+    auto see_run = rig->Execute(RunSpec(SeeLayout(*rig)), &*olap, nullptr);
     auto opt_run =
-        rig->Execute(advised->result.final_layout, &*olap, nullptr);
+        rig->Execute(RunSpec(advised->result.final_layout), &*olap, nullptr);
     if (!see_run.ok() || !opt_run.ok()) return 1;
 
     // Heuristic isolation baseline for the heterogeneous configs:
@@ -65,26 +65,26 @@ int main(int argc, char** argv) {
       baseline = IsolateTablesIndexesBaseline(advised->problem, 0, 1, 2);
     }
     if (baseline.ok()) {
-      auto run = rig->Execute(*baseline, &*olap, nullptr);
+      auto run = rig->Execute(RunSpec(*baseline), &*olap, nullptr);
       if (run.ok()) {
-        isolate_elapsed = run->elapsed_seconds;
+        isolate_elapsed = run->run.elapsed_seconds;
         isolate = StrFormat("%.0f", isolate_elapsed);
       }
     }
 
-    see_elapsed[row++] = see_run->elapsed_seconds;
-    table.AddRow({config.name, StrFormat("%.0f", see_run->elapsed_seconds),
-                  isolate, StrFormat("%.0f", opt_run->elapsed_seconds),
-                  StrFormat("%.2fx", see_run->elapsed_seconds /
-                                         opt_run->elapsed_seconds)});
+    see_elapsed[row++] = see_run->run.elapsed_seconds;
+    table.AddRow({config.name, StrFormat("%.0f", see_run->run.elapsed_seconds),
+                  isolate, StrFormat("%.0f", opt_run->run.elapsed_seconds),
+                  StrFormat("%.2fx", see_run->run.elapsed_seconds /
+                                         opt_run->run.elapsed_seconds)});
     if (env.json) {
       json.BeginRow();
       json.Field("config", config.name);
-      json.Field("see_seconds", see_run->elapsed_seconds);
+      json.Field("see_seconds", see_run->run.elapsed_seconds);
       json.Field("isolate_seconds", isolate_elapsed);
-      json.Field("optimized_seconds", opt_run->elapsed_seconds);
+      json.Field("optimized_seconds", opt_run->run.elapsed_seconds);
       json.Field("speedup",
-                 see_run->elapsed_seconds / opt_run->elapsed_seconds);
+                 see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds);
       json.Field("advisor_seconds", advised->result.total_seconds());
     }
   }

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto opt_run =
-        rig->Execute(advised->result.final_layout, &*olap, nullptr);
+        rig->Execute(RunSpec(advised->result.final_layout), &*olap, nullptr);
     if (!opt_run.ok()) return 1;
 
     // SEE needs every target to hold 1/5 of every object — infeasible for
@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     const Layout see = SeeLayout(*rig);
     if (see.SatisfiesCapacity(advised->problem.object_sizes,
                               advised->problem.capacities())) {
-      auto run = rig->Execute(see, &*olap, nullptr);
+      auto run = rig->Execute(RunSpec(see), &*olap, nullptr);
       if (run.ok()) {
-        see_elapsed = run->elapsed_seconds;
+        see_elapsed = run->run.elapsed_seconds;
         see_cell = StrFormat("%.0f", see_elapsed);
       }
     }
@@ -63,27 +63,27 @@ int main(int argc, char** argv) {
     double ssd_elapsed = -1;
     auto ssd_only = AllOnOneTargetBaseline(advised->problem, 4);
     if (ssd_only.ok()) {
-      auto run = rig->Execute(*ssd_only, &*olap, nullptr);
+      auto run = rig->Execute(RunSpec(*ssd_only), &*olap, nullptr);
       if (run.ok()) {
-        ssd_elapsed = run->elapsed_seconds;
+        ssd_elapsed = run->run.elapsed_seconds;
         ssd_cell = StrFormat("%.0f", ssd_elapsed);
       }
     }
     table.AddRow({StrFormat("%lld GB", static_cast<long long>(cap_gb)),
                   see_cell, ssd_cell,
-                  StrFormat("%.0f", opt_run->elapsed_seconds),
+                  StrFormat("%.0f", opt_run->run.elapsed_seconds),
                   see_elapsed > 0
                       ? StrFormat("%.2fx",
-                                  see_elapsed / opt_run->elapsed_seconds)
+                                  see_elapsed / opt_run->run.elapsed_seconds)
                       : std::string("-")});
     if (env.json) {
       json.BeginRow();
       json.Field("ssd_capacity_gb", cap_gb);
       json.Field("see_seconds", see_elapsed);
       json.Field("ssd_only_seconds", ssd_elapsed);
-      json.Field("optimized_seconds", opt_run->elapsed_seconds);
+      json.Field("optimized_seconds", opt_run->run.elapsed_seconds);
       json.Field("speedup", see_elapsed > 0
-                                ? see_elapsed / opt_run->elapsed_seconds
+                                ? see_elapsed / opt_run->run.elapsed_seconds
                                 : -1.0);
       json.Field("advisor_seconds", advised->result.total_seconds());
     }

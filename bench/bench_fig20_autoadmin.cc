@@ -62,17 +62,17 @@ int main(int argc, char** argv) {
     const Layout& advisor_layout = concurrency == 1
                                        ? advised1->result.final_layout
                                        : advised8->result.final_layout;
-    auto see_run = rig->Execute(SeeLayout(*rig), &olap, nullptr);
-    auto aa_run = rig->Execute(*aa_layout, &olap, nullptr);
-    auto adv_run = rig->Execute(advisor_layout, &olap, nullptr);
+    auto see_run = rig->Execute(RunSpec(SeeLayout(*rig)), &olap, nullptr);
+    auto aa_run = rig->Execute(RunSpec(*aa_layout), &olap, nullptr);
+    auto adv_run = rig->Execute(RunSpec(advisor_layout), &olap, nullptr);
     if (!see_run.ok() || !aa_run.ok() || !adv_run.ok()) return 1;
     if (concurrency == 8) {
-      see8 = see_run->elapsed_seconds;
-      aa8 = aa_run->elapsed_seconds;
+      see8 = see_run->run.elapsed_seconds;
+      aa8 = aa_run->run.elapsed_seconds;
     }
-    table.AddRow({olap.name, StrFormat("%.0f", see_run->elapsed_seconds),
-                  StrFormat("%.0f", aa_run->elapsed_seconds),
-                  StrFormat("%.0f", adv_run->elapsed_seconds),
+    table.AddRow({olap.name, StrFormat("%.0f", see_run->run.elapsed_seconds),
+                  StrFormat("%.0f", aa_run->run.elapsed_seconds),
+                  StrFormat("%.0f", adv_run->run.elapsed_seconds),
                   concurrency == 1 ? "40927/32634/31789"
                                    : "16201/19937/13608"});
   }

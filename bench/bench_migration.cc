@@ -3,8 +3,8 @@
 //
 // Protocol (5-disk TPC-H rig, OLAP8; disk4 starts empty so it can act as
 // a pure migration destination):
-//   1. Empty-plan differential: ExecuteWithMigration with from == to must
-//      reproduce Execute bit for bit — the executor schedules zero copy
+//   1. Empty-plan differential: a migration with from == to must
+//      reproduce the plain run bit for bit — the executor schedules zero copy
 //      events, so the foreground run is untouched (exit 1 on mismatch).
 //   2. Throttle curve: migrate SEE-over-4-disks to the advised 5-disk
 //      layout unthrottled to get the copy volume and floor duration, then
@@ -42,13 +42,25 @@ using namespace ldb::bench;
 
 namespace {
 
-void PrintSkipped(const MigrationRunReport& r, const char* stage) {
-  for (const std::string& s : r.skipped_faults) {
+// The rig's migration run: `from` deployed, migrating to `to` under `opts`
+// with `faults` armed, OLAP in the foreground.
+Result<RunReport> Migrate(const ExperimentRig& rig, const Layout& from,
+                          const Layout& to, const OlapSpec& olap,
+                          const FaultPlan& faults, const MigrateOptions& opts) {
+  RunSpec spec(from);
+  spec.migrate_to = to;
+  spec.migrate = opts;
+  spec.faults = faults;
+  return rig.Execute(spec, &olap, nullptr);
+}
+
+void PrintSkipped(const RunReport& r, const char* stage) {
+  for (const std::string& s : r.run.skipped_faults) {
     std::printf("  %s skipped fault: %s\n", stage, s.c_str());
   }
 }
 
-double MigrationSeconds(const MigrationRunReport& r) {
+double MigrationSeconds(const RunReport& r) {
   if (r.stats.start_time < 0.0 || r.stats.end_time < 0.0) return -1.0;
   return r.stats.end_time - r.stats.start_time;
 }
@@ -92,10 +104,10 @@ int main(int argc, char** argv) {
   bool all_ok = true;
 
   // ---- 1. Empty-plan migration == plain run, bit for bit. ----
-  auto plain = rig->Execute(from, &*olap, nullptr);
+  auto plain = rig->Execute(RunSpec(from), &*olap, nullptr);
   if (!plain.ok()) return 1;
-  auto noop = rig->ExecuteWithMigration(from, from, &*olap, nullptr,
-                                        FaultPlan{}, MigrateOptions{});
+  auto noop =
+      Migrate(*rig, from, from, *olap, FaultPlan{}, MigrateOptions{});
   if (!noop.ok()) {
     std::fprintf(stderr, "noop migration: %s\n",
                  noop.status().ToString().c_str());
@@ -104,26 +116,26 @@ int main(int argc, char** argv) {
   {
     const double tol = 1e-9;
     bool same =
-        std::fabs(plain->elapsed_seconds - noop->run.elapsed_seconds) <=
+        std::fabs(plain->run.elapsed_seconds - noop->run.elapsed_seconds) <=
             tol &&
-        plain->total_requests == noop->run.total_requests &&
+        plain->run.total_requests == noop->run.total_requests &&
         noop->stats.chunks_total == 0 &&
         noop->outcome == MigrationOutcome::kCompleted;
     for (int j = 0; same && j < m; ++j) {
-      same = std::fabs(plain->utilization[j] -
+      same = std::fabs(plain->run.utilization[j] -
                        noop->run.utilization[j]) <= tol;
     }
     std::printf(
         "empty migration plan vs plain run: %s (%.3fs vs %.3fs, %lld "
         "chunks)\n",
         same ? "[ok: identical]" : "[MISS: runs diverge]",
-        plain->elapsed_seconds, noop->run.elapsed_seconds,
+        plain->run.elapsed_seconds, noop->run.elapsed_seconds,
         static_cast<long long>(noop->stats.chunks_total));
     PrintSkipped(*noop, "noop");
     json.BeginRow();
     json.Field("stage", "empty_plan_differential");
     json.Field("identical", same);
-    json.Field("elapsed_s", plain->elapsed_seconds);
+    json.Field("elapsed_s", plain->run.elapsed_seconds);
     json.Field("chunks_total",
                static_cast<int64_t>(noop->stats.chunks_total));
     all_ok = all_ok && same;
@@ -133,8 +145,7 @@ int main(int argc, char** argv) {
   // ---- 2. Throttle curve: migration duration vs foreground impact. ----
   MigrateOptions unthrottled;
   unthrottled.max_inflight_chunks = 4;
-  auto fast = rig->ExecuteWithMigration(from, to, &*olap, nullptr,
-                                        FaultPlan{}, unthrottled);
+  auto fast = Migrate(*rig, from, to, *olap, FaultPlan{}, unthrottled);
   if (!fast.ok()) {
     std::fprintf(stderr, "migration: %s\n",
                  fast.status().ToString().c_str());
@@ -180,8 +191,7 @@ int main(int argc, char** argv) {
     opts.max_inflight_chunks = 4;
     opts.bandwidth_bytes_per_s = copied_bytes / (stretch * floor_s);
     opts.max_bg_share = 0.5;
-    auto run = rig->ExecuteWithMigration(from, to, &*olap, nullptr,
-                                         FaultPlan{}, opts);
+    auto run = Migrate(*rig, from, to, *olap, FaultPlan{}, opts);
     if (!run.ok()) {
       std::fprintf(stderr, "throttled migration: %s\n",
                    run.status().ToString().c_str());
@@ -246,8 +256,7 @@ int main(int argc, char** argv) {
     FaultPlan plan;
     plan.faults.push_back(
         {t_fail, victim, 0, FaultKind::kFailStop, 2.0, 0.1, 0.0});
-    auto run = rig->ExecuteWithMigration(from, to, &*olap, nullptr, plan,
-                                         opts);
+    auto run = Migrate(*rig, from, to, *olap, plan, opts);
     if (!run.ok()) {
       std::fprintf(stderr, "fault migration: %s\n",
                    run.status().ToString().c_str());
@@ -296,8 +305,8 @@ int main(int argc, char** argv) {
         {0.0, victim, 0, FaultKind::kFailStop, 2.0, 0.1, 0.0});
     MigrateOptions opts;
     opts.max_inflight_chunks = 4;
-    auto run = rig->ExecuteWithMigration(from, replanned->layout, &*olap,
-                                         nullptr, dead_from_start, opts);
+    auto run = Migrate(*rig, from, replanned->layout, *olap,
+                       dead_from_start, opts);
     if (!run.ok()) {
       std::fprintf(stderr, "replanned migration: %s\n",
                    run.status().ToString().c_str());
@@ -332,8 +341,7 @@ int main(int argc, char** argv) {
     MigrateOptions opts;
     opts.max_inflight_chunks = 4;
     const auto t0 = std::chrono::steady_clock::now();
-    auto bare = rig->ExecuteWithMigration(from, to, &*olap, nullptr,
-                                          FaultPlan{}, opts);
+    auto bare = Migrate(*rig, from, to, *olap, FaultPlan{}, opts);
     const auto t1 = std::chrono::steady_clock::now();
     if (!bare.ok()) {
       std::fprintf(stderr, "bare migration: %s\n",
@@ -344,8 +352,7 @@ int main(int argc, char** argv) {
     std::remove(wal_path.c_str());
     opts.journal_path = wal_path;
     const auto t2 = std::chrono::steady_clock::now();
-    auto logged = rig->ExecuteWithMigration(from, to, &*olap, nullptr,
-                                            FaultPlan{}, opts);
+    auto logged = Migrate(*rig, from, to, *olap, FaultPlan{}, opts);
     const auto t3 = std::chrono::steady_clock::now();
     if (!logged.ok()) {
       std::fprintf(stderr, "journaled migration: %s\n",

@@ -246,10 +246,11 @@ int main(int argc, char** argv) {
         fitted.push_back(analyzer.Snapshot());
       });
     }
-    auto fit = PlayScenarioStatic(
-        fit_system.get(), *seed_problem, SeeLayout(*rig), *spec,
-        FaultPlan{}, ScenarioPlayerOptions{},
-        [&analyzer](const IoEvent& ev) { analyzer.Observe(ev); });
+    RunSpec fit_run(SeeLayout(*rig));
+    fit_run.logical_observer = [&analyzer](const IoEvent& ev) {
+      analyzer.Observe(ev);
+    };
+    auto fit = PlayScenario(fit_system.get(), *seed_problem, fit_run, *spec);
     if (!fit.ok()) {
       std::fprintf(stderr, "%s fit pass: %s\n", sc.name.c_str(),
                    fit.status().ToString().c_str());

@@ -47,18 +47,18 @@ int main(int argc, char** argv) {
   auto rec = advisor.Recommend(*problem);
   if (!rec.ok()) return 1;
 
-  auto see_run = rig->Execute(see, &*olap, &*oltp);
-  auto opt_run = rig->Execute(rec->final_layout, &*olap, &*oltp);
+  auto see_run = rig->Execute(RunSpec(see), &*olap, &*oltp);
+  auto opt_run = rig->Execute(RunSpec(rec->final_layout), &*olap, &*oltp);
   if (!see_run.ok() || !opt_run.ok()) return 1;
 
   TextTable table({"Layout", "OLAP elapsed (s)", "OLTP (tpm)"});
-  table.AddRow({"SEE", StrFormat("%.0f", see_run->elapsed_seconds),
-                StrFormat("%.0f", see_run->tpm)});
-  table.AddRow({"Optimized", StrFormat("%.0f", opt_run->elapsed_seconds),
-                StrFormat("%.0f", opt_run->tpm)});
+  table.AddRow({"SEE", StrFormat("%.0f", see_run->run.elapsed_seconds),
+                StrFormat("%.0f", see_run->run.tpm)});
+  table.AddRow({"Optimized", StrFormat("%.0f", opt_run->run.elapsed_seconds),
+                StrFormat("%.0f", opt_run->run.tpm)});
   std::printf("%s\n", table.ToString().c_str());
   std::printf("OLAP speedup %.2fx; OLTP throughput ratio %.2fx\n",
-              see_run->elapsed_seconds / opt_run->elapsed_seconds,
-              opt_run->tpm / see_run->tpm);
+              see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds,
+              opt_run->run.tpm / see_run->run.tpm);
   return 0;
 }

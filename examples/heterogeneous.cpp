@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   std::printf("Recommended layout (raid0x2 / disk / ssd):\n%s\n",
               rec->final_layout.ToString(rig->catalog().names()).c_str());
 
-  auto see_run = rig->Execute(see, &*olap, nullptr);
-  auto opt_run = rig->Execute(rec->final_layout, &*olap, nullptr);
+  auto see_run = rig->Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig->Execute(RunSpec(rec->final_layout), &*olap, nullptr);
   if (!see_run.ok() || !opt_run.ok()) return 1;
 
   TextTable table({"Layout", "Elapsed (s)", "raid0x2 util", "disk util",
@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
                   StrFormat("%.0f%%", 100 * r.utilization[1]),
                   StrFormat("%.0f%%", 100 * r.utilization[2])});
   };
-  row("SEE", *see_run);
-  row("Optimized", *opt_run);
+  row("SEE", see_run->run);
+  row("Optimized", opt_run->run);
   std::printf("%s\nSpeedup: %.2fx\n", table.ToString().c_str(),
-              see_run->elapsed_seconds / opt_run->elapsed_seconds);
+              see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds);
   return 0;
 }

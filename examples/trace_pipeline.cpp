@@ -71,19 +71,19 @@ int main(int argc, char** argv) {
               rec->final_layout.ToString(rig->catalog().names()).c_str());
 
   // 5. Execute both layouts.
-  auto run_see = rig->Execute(see, &*olap, nullptr);
-  auto run_opt = rig->Execute(rec->final_layout, &*olap, nullptr);
+  auto run_see = rig->Execute(ldb::RunSpec(see), &*olap, nullptr);
+  auto run_opt = rig->Execute(ldb::RunSpec(rec->final_layout), &*olap, nullptr);
   if (!run_see.ok() || !run_opt.ok()) {
     std::fprintf(stderr, "execution failed\n");
     return 1;
   }
   ldb::TextTable table({"Layout", "Elapsed (s)", "Speedup"});
   table.AddRow({"SEE (baseline)",
-                ldb::StrFormat("%.0f", run_see->elapsed_seconds), "1.00x"});
+                ldb::StrFormat("%.0f", run_see->run.elapsed_seconds), "1.00x"});
   table.AddRow({"Optimized",
-                ldb::StrFormat("%.0f", run_opt->elapsed_seconds),
-                ldb::StrFormat("%.2fx", run_see->elapsed_seconds /
-                                            run_opt->elapsed_seconds)});
+                ldb::StrFormat("%.0f", run_opt->run.elapsed_seconds),
+                ldb::StrFormat("%.2fx", run_see->run.elapsed_seconds /
+                                            run_opt->run.elapsed_seconds)});
   std::printf("%s", table.ToString().c_str());
   return 0;
 }

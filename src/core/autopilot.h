@@ -2,7 +2,7 @@
 #define LAYOUTDB_CORE_AUTOPILOT_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,12 +10,13 @@
 #include "core/migrate.h"
 #include "core/problem.h"
 #include "model/layout.h"
+#include "model/target_model.h"
 #include "monitor/autopilot_spec.h"
-#include "storage/fault.h"
+#include "monitor/drift.h"
+#include "monitor/online_analyzer.h"
+#include "storage/lvm.h"
 #include "storage/storage_system.h"
 #include "util/status.h"
-#include "workload/runner.h"
-#include "workload/spec.h"
 
 namespace ldb {
 
@@ -35,7 +36,7 @@ struct AutopilotOptions {
   /// re-advise.
   AdvisorOptions advisor;
   /// Simulated times (seconds) at which the controller's deployed layout
-  /// is sampled into AutopilotReport::sampled_layouts. The sampling events
+  /// is sampled into RunReport::sampled_layouts. The sampling events
   /// submit no I/O and touch no RNG, so they never perturb the foreground
   /// — bench_scenarios uses them to score the autopilot per scenario
   /// segment. Times past the end of the run record the final layout.
@@ -79,101 +80,97 @@ struct LayoutSample {
   Layout layout;
 };
 
-/// Outcome of one autopilot run: the foreground results plus the full
-/// decision log and actuator counters.
-struct AutopilotReport {
-  RunResult run;
-  std::vector<AutopilotDecision> decisions;  ///< one per drift trip
-  uint64_t ticks = 0;           ///< drift evaluations performed
-  uint64_t monitor_events = 0;  ///< completions the analyzer ingested
-  int migrations_started = 0;
-  int migrations_completed = 0;
-  int migrations_suppressed = 0;  ///< tripped, moved bytes priced, gate said no
-  int migrations_rolled_back = 0;
-  int migrations_aborted = 0;
-  int64_t bytes_copied = 0;  ///< copy writes issued by all migrations
-  uint64_t fg_requests = 0;
-  double fg_mean_latency_s = 0.0;
-  Layout initial_layout;
-  Layout final_layout;  ///< layout in effect when the run ended
-  double final_drift_score = 0.0;
-  std::vector<std::string> skipped_faults;
-  /// One entry per AutopilotOptions::layout_sample_times, in order.
-  std::vector<LayoutSample> sampled_layouts;
-  /// Durable journal accounting (zero/false without a journal_path).
-  bool journal_crashed = false;  ///< injected crash froze the control plane
-  int64_t journal_records = 0;   ///< records in the WAL at end of run
-  int64_t journal_bytes = 0;     ///< WAL file size at end of run
-  /// True when --resume recovered a deployed layout from the journal
-  /// (initial_layout then reflects the recovered state, not the caller's).
-  bool resumed_from_journal = false;
-  /// Real data plane accounting (MigrateOptions::data_backend runs only).
-  bool real_backend = false;        ///< a data backend carried the bytes
-  Status real_readable;             ///< end-of-run pattern verification
-  int64_t real_bytes_verified = 0;  ///< bytes checked against the pattern
+struct RunReport;
+class ControlJournal;
 
-  AutopilotReport() : initial_layout(1, 1), final_layout(1, 1) {}
-
-  /// Deterministic digest of everything observable: run metrics, the
-  /// decision log, and the final layout. Two runs with equal fingerprints
-  /// behaved identically — the bit-identity tests compare these.
-  std::string Fingerprint() const;
-};
-
-/// The foreground half of an autopilot run. RunAutopilotLoop builds the
-/// controller (analyzer, drift detector, volume-manager chain, migration
-/// executors) and then calls the driver exactly once to run the workload:
-/// the driver must submit all foreground I/O through `router` (the splice
-/// seam migrations are swapped into), report every logical completion to
-/// `observe` (which feeds the streaming analyzer), invoke `on_finished`
-/// when the workload logically completes (so the controller stops
-/// rescheduling ticks and the event queue can idle), and pump the event
-/// loop to completion before returning.
-using AutopilotForegroundDriver = std::function<Result<RunResult>(
-    VolumeRouter* router, const StorageSystem::Observer& observe,
-    const std::function<void()>& on_finished)>;
-
-/// The reusable sense→decide→act loop under any foreground driver:
-/// WorkloadRunner (RunAutopilotSim) or a ScenarioPlayer (scenario/sim).
-/// Handles controller construction, fault arming, periodic ticks, layout
-/// sampling, terminal migration accounting, and report assembly.
-Result<AutopilotReport> RunAutopilotLoop(
-    StorageSystem* system, const LayoutProblem& problem,
-    const Layout& initial_layout, const FaultPlan& faults,
-    const AutopilotOptions& options,
-    const AutopilotForegroundDriver& foreground);
-
-/// Runs workloads on `system` with the full sense→decide→act loop closed:
-/// a streaming analyzer taps the runner's object-level completions, a
-/// drift detector compares the live window against `problem.workloads`
-/// (the set `initial_layout` was advised for), and on a trip the advisor
-/// is re-run — warm-started from the deployed layout — with the resulting
-/// migration executed through MigrationExecutor iff the cost-benefit gate
-/// passes:
+/// The closed sense->decide->act loop RunLayout installs for
+/// RunSpec::autopilot. A streaming analyzer taps the foreground's
+/// object-level completions, a drift detector compares the live window
+/// against the reference (the problem's workloads, the set the deployed
+/// layout was advised for), and on a trip the advisor is re-run —
+/// warm-started from the deployed layout — with the resulting migration
+/// executed through MigrationExecutor iff the cost-benefit gate passes:
 ///
 ///   (mu_old - mu_new) >= gate_min_gain   and
 ///   (mu_old - mu_new) * gate_horizon_s >= total_bytes / bandwidth.
 ///
-/// Faults compose exactly as in RunMigrationSim. With drift disabled
-/// (threshold = inf) the run is bit-for-bit identical to a plain Execute
-/// of `initial_layout`.
-Result<AutopilotReport> RunAutopilotSim(
-    StorageSystem* system, const LayoutProblem& problem,
-    const Layout& initial_layout, const OlapSpec* olap, const OltpSpec* oltp,
-    double oltp_duration_s, const FaultPlan& faults,
-    const AutopilotOptions& options, uint64_t seed);
+/// Ticks and layout samples submit no I/O and touch no RNG, so with drift
+/// disabled (threshold = inf) the run is bit-identical to the same run
+/// without the autopilot.
+class AutopilotController {
+ public:
+  /// Validates the options and, with a journal (the run's open control
+  /// journal, or null), binds it to the problem; on options.resume the
+  /// deployed layout and drift reference are recovered from it. Decisions
+  /// and counters land in `*report`. Every pointer must outlive the
+  /// controller.
+  static Result<std::unique_ptr<AutopilotController>> Create(
+      StorageSystem* system, const LayoutProblem* problem,
+      const Layout& layout, const AutopilotOptions* options,
+      ControlJournal* journal, RunReport* report);
+  // Scheduled ticks and samples hold `this`.
+  AutopilotController(const AutopilotController&) = delete;
+  AutopilotController& operator=(const AutopilotController&) = delete;
 
-/// CLI-facing autopilot simulation (sibling of SimulateProblemMigration):
-/// rebuilds devices from the problem's calibrated cost-model names,
-/// synthesizes a closed-loop foreground workload from the fitted
-/// descriptions, and runs it under the autopilot with `current` deployed.
-/// Note the synthetic foreground is random-access, so a problem fitted
-/// from sequential scans can legitimately trip drift: the autopilot
-/// re-fits what actually runs.
-Result<AutopilotReport> SimulateProblemAutopilot(
-    const LayoutProblem& problem, const Layout& current,
-    const FaultPlan& faults, const AutopilotOptions& options,
-    double duration_s = 30.0, uint64_t seed = 42);
+  /// The layout to deploy at t=0: the caller's, or the journal's on resume.
+  const Layout& deployed() const { return current_layout_; }
+
+  /// Takes over the deployed layout's volumes and returns the foreground
+  /// router: the seam migrations are spliced into.
+  VolumeRouter* Install(std::unique_ptr<StripedVolumeManager> volumes);
+
+  /// Schedules the first tick (one interval in) and the layout samples.
+  void Start();
+  /// Feeds one logical completion to the streaming analyzer.
+  void Observe(const IoEvent& ev);
+  /// The workload logically finished: ticks stop rescheduling.
+  void Stop() { run_active_ = false; }
+  /// After the foreground returned: accounts for a migration that drained
+  /// after the last tick and fills the report's loop fields.
+  void Finish();
+
+ private:
+  AutopilotController(StorageSystem* system, const LayoutProblem* problem,
+                      const AutopilotOptions* options, const Layout& layout,
+                      WorkloadSet reference, RunReport* report);
+
+  void Tick();
+  /// Reacts to the active executor's terminal state, if it has one.
+  void Settle();
+  void AdoptCompleted();
+  void HandleRollback();
+  void HandleAbort();
+  /// A drift trip: re-advise for the live window (warm-started from the
+  /// deployed layout), price the move, and act iff the gate passes.
+  void Decide(WorkloadSet live, double now);
+
+  StorageSystem* system_;
+  const LayoutProblem* problem_;
+  const AutopilotOptions* options_;
+  RunReport* report_;
+  ControlJournal* journal_ = nullptr;  ///< durable control plane, or null
+  TargetModel model_;
+  OnlineAnalyzer analyzer_;
+  DriftDetector detector_;
+
+  /// Deployed-state chain: every adopted layout keeps its volume manager
+  /// (and passthrough router) alive because in-flight and journaled state
+  /// may still reference it.
+  std::vector<std::unique_ptr<StripedVolumeManager>> managers_;
+  std::vector<std::unique_ptr<PassthroughRouter>> passthroughs_;
+  std::vector<std::unique_ptr<MigrationExecutor>> executors_;
+  SwitchableRouter router_{nullptr};  ///< foreground splice seam
+
+  MigrationExecutor* active_ = nullptr;  ///< copy in flight, or null
+  size_t current_manager_ = 0;           ///< index into `managers_`
+  size_t pending_manager_ = 0;
+  Layout current_layout_;
+  Layout pending_layout_;
+  WorkloadSet pending_reference_;  ///< live window the pending layout fits
+
+  bool run_active_ = true;  ///< workload still logically running
+  bool frozen_ = false;     ///< an abort or journal crash froze routing
+};
 
 }  // namespace ldb
 

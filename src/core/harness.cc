@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "storage/disk.h"
-#include "storage/lvm.h"
 #include "storage/ssd.h"
 #include "trace/analyzer.h"
 #include "trace/trace.h"
@@ -129,143 +128,36 @@ std::vector<AdvisorTarget> ExperimentRig::AdvisorTargets() const {
   return out;
 }
 
-Result<RunResult> ExperimentRig::Execute(const Layout& layout,
+Result<RunReport> ExperimentRig::Execute(const RunSpec& spec,
                                          const OlapSpec* olap,
                                          const OltpSpec* oltp,
-                                         double oltp_duration_s) const {
-  if (!layout.IsRegular()) {
-    return Status::FailedPrecondition(
-        "Execute requires a regular layout (the LVM stripes round-robin)");
-  }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(layout.TargetsOf(i));
-  }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
-
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  if (olap != nullptr && oltp != nullptr) return runner.RunMixed(*olap, *oltp);
-  if (olap != nullptr) return runner.RunOlap(*olap);
-  if (oltp != nullptr) return runner.RunOltp(*oltp, oltp_duration_s);
-  return Status::InvalidArgument("no workload given");
-}
-
-Result<RunResult> ExperimentRig::ExecuteWithFaults(
-    const Layout& layout, const OlapSpec* olap, const OltpSpec* oltp,
-    const FaultPlan& plan, double oltp_duration_s) const {
-  if (!layout.IsRegular()) {
-    return Status::FailedPrecondition(
-        "ExecuteWithFaults requires a regular layout");
-  }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(layout.TargetsOf(i));
-  }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
-
-  // Arm before the run: fault times are ScheduleAfter-relative, and the
-  // runner's target Reset preserves fault RNG seeds and retry policy.
-  FaultInjector injector(system.get(), plan);
-  LDB_RETURN_IF_ERROR(injector.Arm());
-
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
-  if (!run.ok()) return run.status();
-  RunResult result = std::move(run).value();
-  result.skipped_faults = injector.skipped();
-  return result;
-}
-
-Result<MigrationRunReport> ExperimentRig::ExecuteWithMigration(
-    const Layout& from, const Layout& to, const OlapSpec* olap,
-    const OltpSpec* oltp, const FaultPlan& faults,
-    const MigrateOptions& options, double oltp_duration_s) const {
-  if (!from.IsRegular() || !to.IsRegular()) {
-    return Status::FailedPrecondition(
-        "ExecuteWithMigration requires regular layouts");
-  }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> from_placements;
-  std::vector<std::vector<int>> to_placements;
-  from_placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  to_placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    from_placements.push_back(from.TargetsOf(i));
-    to_placements.push_back(to.TargetsOf(i));
-  }
-  return RunMigrationSim(system.get(), catalog_.sizes(),
-                         std::move(from_placements), std::move(to_placements),
-                         kLvmStripeBytes, olap, oltp, oltp_duration_s, faults,
-                         options, seed_);
-}
-
-Result<AutopilotReport> ExperimentRig::ExecuteWithAutopilot(
-    const Layout& layout, WorkloadSet reference, const OlapSpec* olap,
-    const OltpSpec* oltp, const FaultPlan& faults,
-    const AutopilotOptions& options, double oltp_duration_s) const {
-  if (!layout.IsRegular()) {
-    return Status::FailedPrecondition(
-        "ExecuteWithAutopilot requires a regular layout");
+                                         double oltp_duration_s,
+                                         WorkloadSet reference) const {
+  if (reference.empty()) {
+    // Idle descriptions: only the autopilot reads workloads during a run.
+    reference.resize(static_cast<size_t>(catalog_.num_objects()));
+    for (size_t i = 0; i < reference.size(); ++i) {
+      reference[i].overlap_index = {static_cast<int32_t>(i)};
+      reference[i].overlap_value = {0.0};
+    }
   }
   auto problem = MakeProblem(std::move(reference));
   if (!problem.ok()) return problem.status();
   auto system = MakeSystem();
-  return RunAutopilotSim(system.get(), *problem, layout, olap, oltp,
-                         oltp_duration_s, faults, options, seed_);
+  return RunLayout(system.get(), *problem, spec,
+                   WorkloadForeground(olap, oltp, oltp_duration_s, seed_));
 }
 
 Result<WorkloadSet> ExperimentRig::FitWorkloads(const Layout& trace_layout,
                                                 const OlapSpec* olap,
                                                 const OltpSpec* oltp,
                                                 double oltp_duration_s) const {
-  if (!trace_layout.IsRegular()) {
-    return Status::FailedPrecondition("tracing layout must be regular");
-  }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(trace_layout.TargetsOf(i));
-  }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
-
   // Fit from the object-level (pre-striping) request stream: the paper's
   // W_i describe objects, not their current on-target placement.
   IoTrace trace;
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  runner.set_logical_observer([&trace](const IoEvent& ev) { trace.Add(ev); });
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
+  RunSpec spec(trace_layout);
+  spec.logical_observer = [&trace](const IoEvent& ev) { trace.Add(ev); };
+  auto run = Execute(spec, olap, oltp, oltp_duration_s);
   if (!run.ok()) return run.status();
 
   TraceAnalyzer analyzer;

@@ -5,11 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "core/autopilot.h"
-#include "core/migrate.h"
 #include "core/problem.h"
+#include "core/run.h"
 #include "model/calibration.h"
-#include "storage/fault.h"
 #include "storage/storage_system.h"
 #include "util/status.h"
 #include "workload/catalog.h"
@@ -63,44 +61,15 @@ class ExperimentRig {
   /// Advisor-facing target descriptions (capacities, cost models).
   std::vector<AdvisorTarget> AdvisorTargets() const;
 
-  /// Executes the given workloads under `layout` (must be regular and
-  /// valid) on a fresh system; returns the measured results. Exactly one
-  /// of `olap`/`oltp` may be null; with both set, runs the consolidation
-  /// protocol (OLTP until OLAP completes).
-  Result<RunResult> Execute(const Layout& layout, const OlapSpec* olap,
-                            const OltpSpec* oltp,
-                            double oltp_duration_s = 0.0) const;
-
-  /// Execute with a deterministic fault plan armed on the fresh system
-  /// before the run starts (fault times are relative to run start). An
-  /// empty plan reproduces Execute exactly — the differential baseline the
-  /// fault tests pin down. The run's FaultStats land in RunResult::faults.
-  Result<RunResult> ExecuteWithFaults(const Layout& layout,
-                                      const OlapSpec* olap,
-                                      const OltpSpec* oltp,
-                                      const FaultPlan& plan,
-                                      double oltp_duration_s = 0.0) const;
-
-  /// Executes the workloads while an online migration carries the layout
-  /// from `from` to `to` in the background (both must be regular). Faults
-  /// compose: the plan is armed on the same system, so a target can die
-  /// mid-copy. With `from == to` the migration is an empty plan and the run
-  /// reproduces Execute bit for bit.
-  Result<MigrationRunReport> ExecuteWithMigration(
-      const Layout& from, const Layout& to, const OlapSpec* olap,
-      const OltpSpec* oltp, const FaultPlan& faults,
-      const MigrateOptions& options, double oltp_duration_s = 0.0) const;
-
-  /// Executes the workloads with the closed-loop layout autopilot engaged:
-  /// `layout` is deployed, `reference` is the workload set it was advised
-  /// for, and the monitor/drift/gate loop re-advises and migrates online
-  /// when the live workload departs from the reference. Faults compose on
-  /// the same system. With drift disabled (threshold = inf) the run is
-  /// bit-identical to Execute(layout, ...).
-  Result<AutopilotReport> ExecuteWithAutopilot(
-      const Layout& layout, WorkloadSet reference, const OlapSpec* olap,
-      const OltpSpec* oltp, const FaultPlan& faults,
-      const AutopilotOptions& options, double oltp_duration_s = 0.0) const;
+  /// Runs the workloads under `spec` on a fresh system: RunLayout with a
+  /// WorkloadRunner foreground seeded by the rig. Exactly one of
+  /// `olap`/`oltp` may be null; with both set, runs the consolidation
+  /// protocol (OLTP until OLAP completes). `reference` is the workload set
+  /// spec.layout was advised for — the autopilot's drift reference; other
+  /// runs may leave it empty.
+  Result<RunReport> Execute(const RunSpec& spec, const OlapSpec* olap,
+                            const OltpSpec* oltp, double oltp_duration_s = 0.0,
+                            WorkloadSet reference = {}) const;
 
   /// The paper's workload-characterization pipeline (Section 5.1): runs
   /// the workloads under `trace_layout` with tracing enabled and fits

@@ -4,12 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "core/journal.h"
-#include "core/sim_setup.h"
 #include "io/backend.h"
-#include "io/pattern.h"
-#include "storage/disk.h"
-#include "storage/ssd.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -112,7 +107,8 @@ MigrationExecutor::MigrationExecutor(StorageSystem* system,
 
 Result<std::unique_ptr<MigrationExecutor>> MigrationExecutor::Create(
     StorageSystem* system, const StripedVolumeManager* source,
-    const StripedVolumeManager* destination, const MigrateOptions& options) {
+    const StripedVolumeManager* destination, const MigrateOptions& options,
+    bool copy_every_object) {
   if (system == nullptr || source == nullptr || destination == nullptr) {
     return Status::InvalidArgument("migrate: null system or volume manager");
   }
@@ -136,7 +132,10 @@ Result<std::unique_ptr<MigrationExecutor>> MigrationExecutor::Create(
     // Objects whose target set is unchanged never move; their physical
     // extents are the source manager's and stay valid regardless of what
     // other objects do (the executor always routes them via `source`).
-    if (source->targets_of(i) == destination->targets_of(i)) continue;
+    if (!copy_every_object &&
+        source->targets_of(i) == destination->targets_of(i)) {
+      continue;
+    }
     for (int j : destination->targets_of(i)) {
       if (j < 0 || j >= system->num_targets()) {
         return Status::InvalidArgument(
@@ -789,194 +788,6 @@ std::string MigrationExecutor::StateFingerprint() const {
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Harness-level entry points.
-
-Result<MigrationRunReport> RunMigrationSim(
-    StorageSystem* system, const std::vector<int64_t>& object_sizes,
-    std::vector<std::vector<int>> from_placements,
-    std::vector<std::vector<int>> to_placements, int64_t lvm_stripe_bytes,
-    const OlapSpec* olap, const OltpSpec* oltp, double oltp_duration_s,
-    const FaultPlan& faults, const MigrateOptions& options, uint64_t seed) {
-  if (options.resume && options.journal_path.empty()) {
-    return Status::InvalidArgument(
-        "migrate: --resume requires a journal path");
-  }
-  const uint64_t plan_digest = MigrationPlanDigest(
-      object_sizes, from_placements, to_placements, options.chunk_bytes);
-  auto source = StripedVolumeManager::Create(
-      object_sizes, std::move(from_placements), system->capacities(),
-      lvm_stripe_bytes);
-  if (!source.ok()) return source.status();
-  auto destination = StripedVolumeManager::Create(
-      object_sizes, std::move(to_placements), system->capacities(),
-      lvm_stripe_bytes);
-  if (!destination.ok()) return destination.status();
-  // Real data plane: the destination's extents must land on disjoint media
-  // from the source's (both managers allocate simulated offsets from 0, so
-  // without the epoch shift a destination write would clobber source bytes
-  // that later chunks still read). Same assignment on resume, so recovered
-  // committed chunks are found where the dead process put them.
-  if (options.data_backend != nullptr) destination->set_data_epoch(1);
-
-  // Durable control plane: recover (and digest-check) the journal before
-  // the writer truncates its torn tail, then open it for appending.
-  std::unique_ptr<ControlJournal> journal;
-  std::unique_ptr<MigrationExecutor> exec;
-  int64_t resumed_records = 0;
-  if (!options.journal_path.empty()) {
-    MigrationJournal recovered;
-    if (options.resume) {
-      auto prior = RecoverMigrationJournal(options.journal_path, plan_digest);
-      if (!prior.ok()) return prior.status();
-      recovered = std::move(prior).value();
-      resumed_records = static_cast<int64_t>(recovered.size());
-    }
-    auto opened =
-        ControlJournal::Open(options.journal_path, options.journal_crash);
-    if (!opened.ok()) return opened.status();
-    journal = std::move(opened).value();
-    if (options.resume) {
-      auto resumed = MigrationExecutor::Resume(system, &*source, &*destination,
-                                               options, recovered);
-      if (!resumed.ok()) return resumed.status();
-      exec = std::move(resumed).value();
-    } else {
-      const Status bind = journal->AppendPlanBinding(plan_digest);
-      // A simulated crash during binding means the process died at t=0:
-      // the run proceeds and freezes on the executor's first record.
-      if (!bind.ok() && !journal->crashed()) return bind;
-      auto created =
-          MigrationExecutor::Create(system, &*source, &*destination, options);
-      if (!created.ok()) return created.status();
-      exec = std::move(created).value();
-    }
-    exec->set_journal_sink(journal.get());
-  } else {
-    auto created =
-        MigrationExecutor::Create(system, &*source, &*destination, options);
-    if (!created.ok()) return created.status();
-    exec = std::move(created).value();
-  }
-
-  // Real data plane: on a fresh run, lay every object's verification
-  // pattern down at its *source* location before any chunk moves. Resumed
-  // runs inherit the bytes a previous (killed) process wrote — committed
-  // chunks already live at the destination, so re-populating would
-  // clobber exactly the state the resume drill is checking.
-  if (options.data_backend != nullptr && !options.resume) {
-    PassthroughRouter initial(&*source);
-    LDB_RETURN_IF_ERROR(
-        PopulateBackendPattern(options.data_backend, &initial));
-  }
-
-  // Arm faults before the run (fault times are run-start-relative; the
-  // runner's target Reset preserves fault RNG seeds and retry policy).
-  FaultInjector injector(system, faults);
-  LDB_RETURN_IF_ERROR(injector.Arm());
-
-  // Start the copy engine via the queue so it begins after the runner's
-  // quiescent reset, with foreground traffic already flowing.
-  system->queue().ScheduleAfter(options.start_delay_s,
-                                [&exec]() { exec->Start(); });
-
-  WorkloadRunner runner(system, exec.get(), seed);
-  std::vector<double> latencies;
-  runner.set_logical_observer([&latencies](const IoEvent& ev) {
-    latencies.push_back(ev.complete_time - ev.submit_time);
-  });
-
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
-  if (!run.ok()) return run.status();
-
-  MigrationRunReport report;
-  report.run = std::move(run).value();
-  report.run.skipped_faults = injector.skipped();
-  report.skipped_faults = injector.skipped();
-  report.outcome = exec->outcome();
-  report.stats = exec->stats();
-  report.journal = exec->journal();
-  report.failed_target = exec->failed_target();
-  report.failure_reason = exec->failure_reason();
-  report.readable = exec->CheckReadable();
-  report.resumed_records = resumed_records;
-  if (journal != nullptr) {
-    report.journal_crashed = journal->crashed() || exec->journal_failed();
-    report.journal_records = journal->records_total();
-    report.journal_bytes = journal->file_bytes();
-    if (exec->journal_failed()) {
-      report.journal_error = exec->journal_failure().message();
-    } else if (journal->crashed()) {
-      report.journal_error = "wal: simulated crash";
-    }
-  }
-  // "Every byte readable" on real media: read the whole object space back
-  // through the executor's authoritative routing and check the pattern.
-  if (options.data_backend != nullptr) {
-    report.real_backend = true;
-    auto verified = VerifyBackendPattern(options.data_backend, exec.get());
-    if (verified.ok()) {
-      report.real_readable = Status::Ok();
-      report.real_bytes_verified = *verified;
-    } else {
-      report.real_readable = verified.status();
-    }
-  }
-  report.fg_requests = static_cast<uint64_t>(latencies.size());
-  if (!latencies.empty()) {
-    double sum = 0.0;
-    for (double l : latencies) sum += l;
-    report.fg_mean_s = sum / static_cast<double>(latencies.size());
-    std::sort(latencies.begin(), latencies.end());
-    const auto quantile = [&latencies](double q) {
-      const size_t idx = static_cast<size_t>(
-          q * static_cast<double>(latencies.size() - 1) + 0.5);
-      return latencies[std::min(idx, latencies.size() - 1)];
-    };
-    report.fg_p50_s = quantile(0.50);
-    report.fg_p99_s = quantile(0.99);
-  }
-  return report;
-}
-
-Result<MigrationRunReport> SimulateProblemMigration(
-    const LayoutProblem& problem, const Layout& from, const Layout& to,
-    const FaultPlan& faults, const MigrateOptions& options, double duration_s,
-    uint64_t seed) {
-  LDB_RETURN_IF_ERROR(problem.Validate());
-  if (duration_s <= 0.0) {
-    return Status::InvalidArgument("migrate: duration must be positive");
-  }
-  // The source layout is the pre-existing physical state; it may violate
-  // administrative pin/separate constraints (which can be why the
-  // migration is happening at all). Only the destination must honor them.
-  auto from_placements =
-      LayoutToPlacements(problem, from, /*check_placement_constraints=*/false);
-  if (!from_placements.ok()) return from_placements.status();
-  auto to_placements = LayoutToPlacements(problem, to);
-  if (!to_placements.ok()) return to_placements.status();
-
-  auto rebuilt = BuildSystemForProblem(problem);
-  if (!rebuilt.ok()) return rebuilt.status();
-  auto fg = SyntheticForeground(problem, "migrate-fg", "migrate");
-  if (!fg.ok()) return fg.status();
-
-  return RunMigrationSim(rebuilt->system.get(), problem.object_sizes,
-                         std::move(from_placements).value(),
-                         std::move(to_placements).value(),
-                         problem.lvm_stripe_bytes, /*olap=*/nullptr,
-                         &fg.value(), duration_s, faults, options, seed);
 }
 
 }  // namespace ldb

@@ -7,16 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "core/problem.h"
-#include "model/layout.h"
-#include "storage/fault.h"
 #include "storage/lvm.h"
 #include "storage/storage_system.h"
 #include "util/status.h"
 #include "util/units.h"
 #include "util/wal.h"
-#include "workload/runner.h"
-#include "workload/spec.h"
 
 namespace ldb {
 
@@ -106,9 +101,9 @@ struct MigrateOptions {
   /// Copy pipeline depth, in chunks.
   int max_inflight_chunks = 1;
   /// Simulated seconds to wait after run start before copying begins
-  /// (honored by the harness entry points, which schedule Start()).
+  /// (honored by RunLayout and the autopilot, which schedule Start()).
   double start_delay_s = 0.0;
-  /// Durable control plane (harness entry points): path of the WAL every
+  /// Durable control plane (RunLayout migrations): path of the WAL every
   /// JournalRecord is serialized into before taking effect. Empty =
   /// in-memory journaling only.
   std::string journal_path;
@@ -173,10 +168,15 @@ class MigrationExecutor final : public VolumeRouter {
  public:
   /// Builds an executor migrating from `source` to `destination` placements.
   /// All three pointers must outlive the executor; the two managers must
-  /// describe the same objects (sizes equal). No I/O until Start().
+  /// describe the same objects (sizes equal). No I/O until Start(). Objects
+  /// whose target set is unchanged stay put and keep routing through
+  /// `source`, unless `copy_every_object` is set: a caller that adopts
+  /// `destination` wholesale afterwards, with its extents in a different
+  /// data epoch, needs every object's bytes moved there.
   static Result<std::unique_ptr<MigrationExecutor>> Create(
       StorageSystem* system, const StripedVolumeManager* source,
-      const StripedVolumeManager* destination, const MigrateOptions& options);
+      const StripedVolumeManager* destination, const MigrateOptions& options,
+      bool copy_every_object = false);
 
   /// Rebuilds an executor from a journal prefix of a previous attempt of
   /// the *same* migration (same managers, same chunking). Chunks with a
@@ -327,59 +327,6 @@ class MigrationExecutor final : public VolumeRouter {
   std::vector<TargetChunk> scratch_;
   std::vector<char> copy_buf_;  ///< real-chunk staging (data_backend runs)
 };
-
-/// Everything a migration experiment reports: the foreground run, the
-/// migration outcome, and consistency/latency measurements.
-struct MigrationRunReport {
-  RunResult run;
-  MigrationOutcome outcome = MigrationOutcome::kNotStarted;
-  MigrationStats stats;
-  MigrationJournal journal;
-  int failed_target = -1;
-  std::string failure_reason;
-  /// CheckReadable() at end of run.
-  Status readable = Status::Ok();
-  /// Foreground object-level request latencies (from the logical observer).
-  uint64_t fg_requests = 0;
-  double fg_mean_s = 0.0;
-  double fg_p50_s = 0.0;
-  double fg_p99_s = 0.0;
-  /// Fault specs the injector skipped as invalid at fire time.
-  std::vector<std::string> skipped_faults;
-  /// Durable journal accounting (zero when MigrateOptions::journal_path is
-  /// empty). `journal_crashed` means the injected crash policy fired and
-  /// the executor froze mid-run; `journal_error` carries the reason.
-  bool journal_crashed = false;
-  int64_t journal_records = 0;   ///< records in the WAL at end of run
-  int64_t journal_bytes = 0;     ///< WAL file size at end of run
-  int64_t resumed_records = 0;   ///< records recovered before this run
-  std::string journal_error;
-  /// Real data plane accounting (MigrateOptions::data_backend runs only).
-  bool real_backend = false;        ///< a data backend carried the bytes
-  Status real_readable;             ///< end-of-run pattern verification
-  int64_t real_bytes_verified = 0;  ///< bytes checked against the pattern
-};
-
-/// Runs workloads on a fresh system while migrating from `from_placements`
-/// to `to_placements`, with an optional fault plan composed in. The shared
-/// engine behind ExperimentRig::ExecuteWithMigration and the CLI
-/// `--migrate` path.
-Result<MigrationRunReport> RunMigrationSim(
-    StorageSystem* system, const std::vector<int64_t>& object_sizes,
-    std::vector<std::vector<int>> from_placements,
-    std::vector<std::vector<int>> to_placements, int64_t lvm_stripe_bytes,
-    const OlapSpec* olap, const OltpSpec* oltp, double oltp_duration_s,
-    const FaultPlan& faults, const MigrateOptions& options, uint64_t seed);
-
-/// CLI-facing migration simulation: builds a storage system from the
-/// problem's targets (device models reconstructed from the calibrated cost
-/// models' names — disk-15k, disk-7200, ssd), synthesizes a closed-loop
-/// foreground workload from the problem's fitted workload descriptions,
-/// and migrates `from` → `to` under it.
-Result<MigrationRunReport> SimulateProblemMigration(
-    const LayoutProblem& problem, const Layout& from, const Layout& to,
-    const FaultPlan& faults, const MigrateOptions& options,
-    double duration_s = 30.0, uint64_t seed = 42);
 
 }  // namespace ldb
 

@@ -1,11 +1,9 @@
 #include "scenario/sim.h"
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <utility>
 
-#include "core/sim_setup.h"
-#include "storage/lvm.h"
 #include "util/table.h"
 
 namespace ldb {
@@ -32,37 +30,38 @@ std::string ScenarioOutcome::Fingerprint() const {
   return out;
 }
 
-Result<ScenarioOutcome> PlayScenarioStatic(
-    StorageSystem* system, const LayoutProblem& problem,
-    const Layout& layout, const ScenarioSpec& spec, const FaultPlan& faults,
-    ScenarioPlayerOptions popts, StorageSystem::Observer logical_observer) {
-  LDB_RETURN_IF_ERROR(problem.Validate());
-  // Deployed state, like a migration source: physics only, not policy.
-  auto placements = LayoutToPlacements(problem, layout,
-                                       /*check_placement_constraints=*/false);
-  if (!placements.ok()) return placements.status();
-  auto volumes = StripedVolumeManager::Create(
-      problem.object_sizes, std::move(placements).value(),
-      system->capacities(), problem.lvm_stripe_bytes);
-  if (!volumes.ok()) return volumes.status();
-  PassthroughRouter router(&volumes.value());
+ForegroundDriver ScenarioForeground(const ScenarioSpec& spec,
+                                    ScenarioPlayerOptions popts,
+                                    ScenarioPlayStats* play) {
+  return [&spec, popts, play](StorageSystem* system, VolumeRouter* router,
+                              const StorageSystem::Observer& observe,
+                              const std::function<void()>& on_finished)
+             -> Result<RunResult> {
+    ScenarioPlayer player(system, router, spec, popts);
+    player.set_logical_observer(observe);
+    player.set_on_finished(on_finished);
+    auto run = player.Play();
+    if (play != nullptr) *play = player.stats();
+    return run;
+  };
+}
 
-  // Arm before Play, mirroring RunAutopilotLoop's order; the player resets
-  // targets at start like the runner, which does not disturb armed faults.
-  FaultInjector injector(system, faults);
-  LDB_RETURN_IF_ERROR(injector.Arm());
-
-  ScenarioPlayer player(system, &router, spec, popts);
-  if (logical_observer) {
-    player.set_logical_observer(std::move(logical_observer));
+Result<ScenarioOutcome> PlayScenario(StorageSystem* system,
+                                     const LayoutProblem& problem,
+                                     RunSpec run, const ScenarioSpec& spec,
+                                     ScenarioPlayerOptions popts) {
+  if (run.autopilot.has_value() && !run.autopilot->journal_path.empty() &&
+      run.autopilot->scenario_position_offset_s < 0.0) {
+    run.autopilot->scenario_position_offset_s =
+        std::max(0.0, popts.start_offset_s);
   }
-  auto run = player.Play();
-  if (!run.ok()) return run.status();
-
   ScenarioOutcome outcome;
-  outcome.run = std::move(run).value();
-  outcome.run.skipped_faults = injector.skipped();
-  outcome.play = player.stats();
+  auto report = RunLayout(system, problem, run,
+                          ScenarioForeground(spec, popts, &outcome.play));
+  if (!report.ok()) return report.status();
+  outcome.run = report->run;
+  outcome.has_autopilot = run.autopilot.has_value();
+  outcome.autopilot = std::move(report).value();
   return outcome;
 }
 
@@ -71,49 +70,10 @@ Result<ScenarioOutcome> PlayScenarioAutopilot(
     const Layout& initial_layout, const ScenarioSpec& spec,
     const FaultPlan& faults, const AutopilotOptions& options,
     ScenarioPlayerOptions popts) {
-  ScenarioPlayStats play;
-  // Journaled scenario runs record the scenario clock every tick so a
-  // mid-scenario kill can resume the player at the recorded position; the
-  // offset is wherever this run itself started (0 when fresh).
-  AutopilotOptions opts = options;
-  if (!opts.journal_path.empty() && opts.scenario_position_offset_s < 0.0) {
-    opts.scenario_position_offset_s = std::max(0.0, popts.start_offset_s);
-  }
-  auto driver = [&](VolumeRouter* router,
-                    const StorageSystem::Observer& observe,
-                    const std::function<void()>& on_finished)
-      -> Result<RunResult> {
-    ScenarioPlayer player(system, router, spec, popts);
-    player.set_logical_observer(observe);
-    player.set_on_finished(on_finished);
-    auto run = player.Play();
-    play = player.stats();
-    return run;
-  };
-  auto report = RunAutopilotLoop(system, problem, initial_layout, faults,
-                                 opts, driver);
-  if (!report.ok()) return report.status();
-
-  ScenarioOutcome outcome;
-  outcome.run = report->run;
-  outcome.play = play;
-  outcome.has_autopilot = true;
-  outcome.autopilot = std::move(report).value();
-  return outcome;
-}
-
-Result<ScenarioOutcome> SimulateProblemScenario(
-    const LayoutProblem& problem, const Layout& current,
-    const ScenarioSpec& spec, const FaultPlan& faults,
-    const AutopilotOptions* autopilot, ScenarioPlayerOptions popts) {
-  auto rebuilt = BuildSystemForProblem(problem);
-  if (!rebuilt.ok()) return rebuilt.status();
-  if (autopilot != nullptr) {
-    return PlayScenarioAutopilot(rebuilt->system.get(), problem, current,
-                                 spec, faults, *autopilot, popts);
-  }
-  return PlayScenarioStatic(rebuilt->system.get(), problem, current, spec,
-                            faults, popts);
+  RunSpec run(initial_layout);
+  run.faults = faults;
+  run.autopilot = options;
+  return PlayScenario(system, problem, std::move(run), spec, popts);
 }
 
 }  // namespace ldb

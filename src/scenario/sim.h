@@ -3,8 +3,8 @@
 
 #include <string>
 
-#include "core/autopilot.h"
 #include "core/problem.h"
+#include "core/run.h"
 #include "model/layout.h"
 #include "scenario/player.h"
 #include "scenario/scenario.h"
@@ -14,12 +14,21 @@
 
 namespace ldb {
 
-/// Everything a scenario run produced: the foreground measurements plus,
-/// for autopilot runs, the full controller report.
+/// The ScenarioPlayer foreground for RunLayout: plays `spec` open-loop
+/// through the pipeline's router. The player's counters land in `*play`
+/// (when non-null) once the run returns. `spec` and `play` must outlive
+/// the run.
+ForegroundDriver ScenarioForeground(const ScenarioSpec& spec,
+                                    ScenarioPlayerOptions popts = {},
+                                    ScenarioPlayStats* play = nullptr);
+
+/// A scenario run: the pipeline's report plus the player's counters.
 struct ScenarioOutcome {
-  RunResult run;
+  RunResult run;  ///< the foreground half (== autopilot.run)
   ScenarioPlayStats play;
   bool has_autopilot = false;
+  /// The full pipeline report; its controller fields are meaningful for
+  /// autopilot runs (has_autopilot).
   AutopilotReport autopilot;
 
   /// Digest of the foreground-observable half only (run metrics,
@@ -35,36 +44,23 @@ struct ScenarioOutcome {
   std::string Fingerprint() const;
 };
 
-/// Plays `spec` against the fixed `layout` on `system`: builds the volume
-/// chain, arms `faults`, and runs an open-loop ScenarioPlayer. The
-/// baseline every adaptive run is scored against. A `logical_observer`
-/// receives every object-level completion — bench_scenarios runs this
-/// under SEE with an OnlineAnalyzer attached to fit per-segment workload
-/// descriptions in the same frame the autopilot's analyzer sees.
-Result<ScenarioOutcome> PlayScenarioStatic(
-    StorageSystem* system, const LayoutProblem& problem,
-    const Layout& layout, const ScenarioSpec& spec, const FaultPlan& faults,
-    ScenarioPlayerOptions popts = {},
-    StorageSystem::Observer logical_observer = nullptr);
+/// Plays `spec` on `system` under `run`: RunLayout with the
+/// ScenarioForeground driver. A journaled autopilot run records the
+/// scenario clock (AutopilotOptions::scenario_position_offset_s defaults
+/// to where this play starts), so a mid-scenario kill can resume the
+/// player where the dead process left off.
+Result<ScenarioOutcome> PlayScenario(StorageSystem* system,
+                                     const LayoutProblem& problem,
+                                     RunSpec run, const ScenarioSpec& spec,
+                                     ScenarioPlayerOptions popts = {});
 
-/// Plays `spec` under the closed autopilot loop (RunAutopilotLoop with a
-/// ScenarioPlayer foreground): the player's logical completions feed the
-/// streaming analyzer, drift trips re-advise, and gated migrations splice
-/// into the player's router mid-scenario.
+/// PlayScenario with `initial_layout` deployed, `faults` armed and the
+/// autopilot engaged under `options`. Kept as a forwarding call for
+/// existing callers; new code builds the RunSpec itself.
 Result<ScenarioOutcome> PlayScenarioAutopilot(
     StorageSystem* system, const LayoutProblem& problem,
     const Layout& initial_layout, const ScenarioSpec& spec,
     const FaultPlan& faults, const AutopilotOptions& options,
-    ScenarioPlayerOptions popts = {});
-
-/// CLI-facing scenario simulation (sibling of SimulateProblemAutopilot):
-/// rebuilds devices from the problem's calibrated cost-model names and
-/// plays `spec` with `current` deployed — statically when `autopilot` is
-/// null, under the closed loop otherwise.
-Result<ScenarioOutcome> SimulateProblemScenario(
-    const LayoutProblem& problem, const Layout& current,
-    const ScenarioSpec& spec, const FaultPlan& faults,
-    const AutopilotOptions* autopilot = nullptr,
     ScenarioPlayerOptions popts = {});
 
 }  // namespace ldb

@@ -62,6 +62,32 @@ bool SameLayout(const Layout& a, const Layout& b) {
   return true;
 }
 
+// The rig's autopilot run over an OLTP foreground: `layout` deployed,
+// advised for `reference`, with `faults` armed.
+Result<AutopilotReport> RunAutopilot(const ExperimentRig& rig,
+                                     const Layout& layout,
+                                     WorkloadSet reference,
+                                     const OltpSpec& oltp,
+                                     const FaultPlan& faults,
+                                     const AutopilotOptions& options,
+                                     double duration_s) {
+  RunSpec spec(layout);
+  spec.faults = faults;
+  spec.autopilot = options;
+  return rig.Execute(spec, nullptr, &oltp, duration_s, std::move(reference));
+}
+
+// The rig's plain run of `layout` over an OLTP foreground, `faults` armed.
+Result<RunResult> PlainRun(const ExperimentRig& rig, const Layout& layout,
+                           const OltpSpec& oltp, const FaultPlan& faults,
+                           double duration_s) {
+  RunSpec spec(layout);
+  spec.faults = faults;
+  auto report = rig.Execute(spec, nullptr, &oltp, duration_s);
+  if (!report.ok()) return report.status();
+  return std::move(report).value().run;
+}
+
 // Fast-reacting monitor for the trip-driven tests: short window, one
 // evaluation trips, permissive gate unless a test overrides it.
 AutopilotOptions DriftingOptions() {
@@ -90,7 +116,7 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 }
 
 // Satellite (d): with drift disabled the autopilot is a pure observer —
-// the run must be bit-for-bit the plain Execute of the same layout.
+// the run must be bit-for-bit the plain run of the same layout.
 TEST(AutopilotTest, InfiniteThresholdIsBitIdenticalToExecute) {
   const ExperimentRig& rig = TriRig();
   auto oltp = Oltp();
@@ -98,13 +124,13 @@ TEST(AutopilotTest, InfiniteThresholdIsBitIdenticalToExecute) {
   const int n = rig.catalog().num_objects();
   const Layout see = Layout::StripeEverythingEverywhere(n, 3);
 
-  auto base = rig.Execute(see, nullptr, &*oltp, 20.0);
+  auto base = PlainRun(rig, see, *oltp, FaultPlan{}, 20.0);
   ASSERT_TRUE(base.ok());
 
   AutopilotOptions options = DriftingOptions();
   options.config.drift.threshold = std::numeric_limits<double>::infinity();
-  auto ap = rig.ExecuteWithAutopilot(see, TokenReference(n), nullptr, &*oltp,
-                                     FaultPlan{}, options, 20.0);
+  auto ap = RunAutopilot(rig, see, TokenReference(n), *oltp, FaultPlan{},
+                         options, 20.0);
   ASSERT_TRUE(ap.ok());
 
   ExpectSameRun(base.value(), ap->run);
@@ -120,7 +146,7 @@ TEST(AutopilotTest, InfiniteThresholdIsBitIdenticalToExecute) {
 }
 
 // Faults compose on the same system: a disabled autopilot over a faulty
-// run must reproduce ExecuteWithFaults exactly.
+// run must reproduce the plain faulty run exactly.
 TEST(AutopilotTest, InfiniteThresholdComposesWithFaults) {
   const ExperimentRig& rig = TriRig();
   auto oltp = Oltp();
@@ -130,13 +156,13 @@ TEST(AutopilotTest, InfiniteThresholdComposesWithFaults) {
   auto plan = ParseFaultPlan("t=5,target=1,kind=limp,scale=4,duration=5");
   ASSERT_TRUE(plan.ok());
 
-  auto base = rig.ExecuteWithFaults(see, nullptr, &*oltp, *plan, 20.0);
+  auto base = PlainRun(rig, see, *oltp, *plan, 20.0);
   ASSERT_TRUE(base.ok());
 
   AutopilotOptions options = DriftingOptions();
   options.config.drift.threshold = std::numeric_limits<double>::infinity();
-  auto ap = rig.ExecuteWithAutopilot(see, TokenReference(n), nullptr, &*oltp,
-                                     *plan, options, 20.0);
+  auto ap = RunAutopilot(rig, see, TokenReference(n), *oltp, *plan, options,
+                         20.0);
   ASSERT_TRUE(ap.ok());
 
   ExpectSameRun(base.value(), ap->run);
@@ -157,8 +183,8 @@ TEST(AutopilotTest, GateSuppressesAnUnprofitableMigration) {
   AutopilotOptions options = DriftingOptions();
   options.config.drift.cooldown_s = 8.0;
   options.config.gate_min_gain = 0.9;  // no re-layout can gain 0.9 max-util
-  auto ap = rig.ExecuteWithAutopilot(paired, TokenReference(n), nullptr,
-                                     &*oltp, FaultPlan{}, options, 30.0);
+  auto ap = RunAutopilot(rig, paired, TokenReference(n), *oltp, FaultPlan{},
+                         options, 30.0);
   ASSERT_TRUE(ap.ok());
 
   ASSERT_FALSE(ap->decisions.empty());
@@ -184,9 +210,8 @@ TEST(AutopilotTest, DriftTripMigratesAndAdopts) {
   const int n = rig.catalog().num_objects();
   const Layout paired = PairedLayout(n);
 
-  auto ap = rig.ExecuteWithAutopilot(paired, TokenReference(n), nullptr,
-                                     &*oltp, FaultPlan{}, DriftingOptions(),
-                                     40.0);
+  auto ap = RunAutopilot(rig, paired, TokenReference(n), *oltp, FaultPlan{},
+                         DriftingOptions(), 40.0);
   ASSERT_TRUE(ap.ok());
 
   ASSERT_FALSE(ap->decisions.empty());
@@ -221,8 +246,8 @@ TEST(AutopilotTest, ReportIsBitIdenticalAcrossSolverThreadCounts) {
   for (int threads : {1, 2, 8}) {
     AutopilotOptions options = DriftingOptions();
     options.advisor.solver.num_threads = threads;
-    auto ap = rig.ExecuteWithAutopilot(paired, TokenReference(n), nullptr,
-                                       &*oltp, FaultPlan{}, options, 40.0);
+    auto ap = RunAutopilot(rig, paired, TokenReference(n), *oltp, FaultPlan{},
+                           options, 40.0);
     ASSERT_TRUE(ap.ok()) << "threads=" << threads;
     ASSERT_FALSE(ap->decisions.empty()) << "threads=" << threads;
     prints.push_back(ap->Fingerprint());

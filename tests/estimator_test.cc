@@ -136,11 +136,11 @@ TEST(EstimatorTest, EstimatorDrivenAdvisorStillBeatsSeeEndToEnd) {
   ASSERT_TRUE(rec.ok());
   const Layout see = Layout::StripeEverythingEverywhere(
       rig->catalog().num_objects(), 4);
-  auto see_run = rig->Execute(see, &*olap, nullptr);
-  auto opt_run = rig->Execute(rec->final_layout, &*olap, nullptr);
+  auto see_run = rig->Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig->Execute(RunSpec(rec->final_layout), &*olap, nullptr);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
-  EXPECT_GT(see_run->elapsed_seconds / opt_run->elapsed_seconds, 1.02);
+  EXPECT_GT(see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 1.02);
 }
 
 }  // namespace

@@ -302,6 +302,20 @@ RunSignature SignatureOf(const RunResult& r) {
   return {r.elapsed_seconds, r.total_requests, r.faults, r.utilization};
 }
 
+// The rig's OLAP run of `spec`: the foreground half of its report.
+Result<RunResult> RunOlap(const ExperimentRig& rig, const RunSpec& spec,
+                          const OlapSpec& olap) {
+  auto report = rig.Execute(spec, &olap, nullptr);
+  if (!report.ok()) return report.status();
+  return std::move(report).value().run;
+}
+
+RunSpec WithFaults(const Layout& layout, const FaultPlan& plan) {
+  RunSpec spec(layout);
+  spec.faults = plan;
+  return spec;
+}
+
 void ExpectIdentical(const RunSignature& a, const RunSignature& b) {
   EXPECT_EQ(a.elapsed, b.elapsed);  // bitwise, not approximate
   EXPECT_EQ(a.requests, b.requests);
@@ -336,8 +350,8 @@ TEST(FaultDeterminismTest, RepeatedRunsAreBitIdentical) {
   ASSERT_TRUE(olap.ok());
   const Layout see = Layout::StripeEverythingEverywhere(
       rig->catalog().num_objects(), rig->num_targets());
-  auto a = rig->ExecuteWithFaults(see, &*olap, nullptr, MixedPlan());
-  auto b = rig->ExecuteWithFaults(see, &*olap, nullptr, MixedPlan());
+  auto a = RunOlap(*rig, WithFaults(see, MixedPlan()), *olap);
+  auto b = RunOlap(*rig, WithFaults(see, MixedPlan()), *olap);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GT(a->faults.transient_errors, 0u);
@@ -360,7 +374,7 @@ TEST(FaultDeterminismTest, IdenticalAcrossHostThreadCounts) {
     ASSERT_TRUE(olap.ok());
     const Layout see = Layout::StripeEverythingEverywhere(
         rig->catalog().num_objects(), rig->num_targets());
-    auto run = rig->ExecuteWithFaults(see, &*olap, nullptr, MixedPlan());
+    auto run = RunOlap(*rig, WithFaults(see, MixedPlan()), *olap);
     ASSERT_TRUE(run.ok());
     runs.push_back(SignatureOf(*run));
   }
@@ -376,8 +390,8 @@ TEST(FaultDeterminismTest, EmptyPlanMatchesPlainExecution) {
   ASSERT_TRUE(olap.ok());
   const Layout see = Layout::StripeEverythingEverywhere(
       rig->catalog().num_objects(), rig->num_targets());
-  auto plain = rig->Execute(see, &*olap, nullptr);
-  auto faulty = rig->ExecuteWithFaults(see, &*olap, nullptr, FaultPlan{});
+  auto plain = RunOlap(*rig, RunSpec(see), *olap);
+  auto faulty = RunOlap(*rig, WithFaults(see, FaultPlan{}), *olap);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(faulty.ok());
   RunSignature p = SignatureOf(*plain);

@@ -58,14 +58,14 @@ TEST(HarnessTest, ExecuteRequiresRegularLayout) {
     bad.Set(i, 0, 0.3);
     bad.Set(i, 1, 0.7);
   }
-  EXPECT_FALSE(rig.Execute(bad, &*olap, nullptr).ok());
+  EXPECT_FALSE(rig.Execute(RunSpec(bad), &*olap, nullptr).ok());
 }
 
 TEST(HarnessTest, ExecuteRequiresSomeWorkload) {
   const ExperimentRig& rig = SmallRig();
   const Layout see = Layout::StripeEverythingEverywhere(
       rig.catalog().num_objects(), 2);
-  EXPECT_FALSE(rig.Execute(see, nullptr, nullptr).ok());
+  EXPECT_FALSE(rig.Execute(RunSpec(see), nullptr, nullptr).ok());
 }
 
 TEST(HarnessTest, ExecutionIsDeterministicAcrossFreshSystems) {
@@ -74,12 +74,12 @@ TEST(HarnessTest, ExecutionIsDeterministicAcrossFreshSystems) {
   ASSERT_TRUE(olap.ok());
   const Layout see = Layout::StripeEverythingEverywhere(
       rig.catalog().num_objects(), 2);
-  auto a = rig.Execute(see, &*olap, nullptr);
-  auto b = rig.Execute(see, &*olap, nullptr);
+  auto a = rig.Execute(RunSpec(see), &*olap, nullptr);
+  auto b = rig.Execute(RunSpec(see), &*olap, nullptr);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->elapsed_seconds, b->elapsed_seconds);
-  EXPECT_EQ(a->total_requests, b->total_requests);
+  EXPECT_DOUBLE_EQ(a->run.elapsed_seconds, b->run.elapsed_seconds);
+  EXPECT_EQ(a->run.total_requests, b->run.total_requests);
 }
 
 TEST(HarnessTest, FitWorkloadsProducesProblemReadyOutput) {

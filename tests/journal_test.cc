@@ -7,6 +7,8 @@
 // and problem-digest binding, and the autopilot checkpoint/intent
 // resolution rules.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -31,8 +33,11 @@
 namespace ldb {
 namespace {
 
+// ctest runs every case as its own process, and the whole-binary suite
+// entries run the same cases again in parallel: the pid keeps concurrent
+// processes off each other's files.
 std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::unique_ptr<StorageSystem> MakeSystem3(const DiskModel& proto) {
@@ -509,6 +514,21 @@ AutopilotOptions DriftingOptions() {
   return o;
 }
 
+// The rig's autopilot run over an OLTP foreground: `layout` deployed,
+// advised for `reference`, with `faults` armed.
+Result<AutopilotReport> RunAutopilot(const ExperimentRig& rig,
+                                     const Layout& layout,
+                                     WorkloadSet reference,
+                                     const OltpSpec& oltp,
+                                     const FaultPlan& faults,
+                                     const AutopilotOptions& options,
+                                     double duration_s) {
+  RunSpec spec(layout);
+  spec.faults = faults;
+  spec.autopilot = options;
+  return rig.Execute(spec, nullptr, &oltp, duration_s, std::move(reference));
+}
+
 bool SameLayout(const Layout& a, const Layout& b) {
   if (a.num_objects() != b.num_objects() ||
       a.num_targets() != b.num_targets()) {
@@ -535,8 +555,8 @@ TEST(JournalAutopilotTest, AdoptedLayoutIsCheckpointedAndRedeployed) {
 
   AutopilotOptions options = DriftingOptions();
   options.journal_path = path;
-  auto ap = rig.ExecuteWithAutopilot(paired, TokenReference(n), nullptr,
-                                     &*oltp, FaultPlan{}, options, 40.0);
+  auto ap = RunAutopilot(rig, paired, TokenReference(n), *oltp, FaultPlan{},
+                         options, 40.0);
   ASSERT_TRUE(ap.ok()) << ap.status().ToString();
   ASSERT_GE(ap->migrations_completed, 1);
   EXPECT_FALSE(ap->journal_crashed);
@@ -554,8 +574,8 @@ TEST(JournalAutopilotTest, AdoptedLayoutIsCheckpointedAndRedeployed) {
   // High threshold so the resumed run exposes the deployed layout rather
   // than immediately re-migrating.
   options.config.drift.threshold = 1e9;
-  auto resumed = rig.ExecuteWithAutopilot(paired, TokenReference(n), nullptr,
-                                          &*oltp, FaultPlan{}, options, 5.0);
+  auto resumed = RunAutopilot(rig, paired, TokenReference(n), *oltp,
+                              FaultPlan{}, options, 5.0);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->resumed_from_journal);
   EXPECT_TRUE(SameLayout(resumed->initial_layout, ap->final_layout));
@@ -576,9 +596,8 @@ TEST(JournalAutopilotTest, JournalCrashFreezesTheControlPlane) {
   AutopilotOptions options = DriftingOptions();
   options.journal_path = path;
   options.journal_crash.fail_after_appends = 1;  // dies binding the intent
-  auto ap = rig.ExecuteWithAutopilot(PairedLayout(n), TokenReference(n),
-                                     nullptr, &*oltp, FaultPlan{}, options,
-                                     20.0);
+  auto ap = RunAutopilot(rig, PairedLayout(n), TokenReference(n), *oltp,
+                         FaultPlan{}, options, 20.0);
   ASSERT_TRUE(ap.ok()) << ap.status().ToString();
   EXPECT_TRUE(ap->journal_crashed);
   EXPECT_EQ(ap->migrations_completed, 0);

@@ -65,12 +65,13 @@ TEST(PipelineTest, Olap1OptimizedBeatsSeeEndToEnd) {
   const Layout see = Layout::StripeEverythingEverywhere(
       rig.catalog().num_objects(), rig.num_targets());
 
-  auto see_run = rig.Execute(see, &*olap, nullptr);
-  auto opt_run = rig.Execute(advised.result.final_layout, &*olap, nullptr);
+  auto see_run = rig.Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig.Execute(RunSpec(advised.result.final_layout), &*olap,
+                             nullptr);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
   const double speedup =
-      see_run->elapsed_seconds / opt_run->elapsed_seconds;
+      see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds;
   EXPECT_GT(speedup, 1.10) << "paper reports 1.28x";
 
   // Estimated utilizations drop too (Fig. 13).
@@ -131,11 +132,12 @@ TEST(PipelineTest, Olap8AdvisorDoesNotRegress) {
   Advised advised = Advise(rig, &*olap, nullptr);
   const Layout see = Layout::StripeEverythingEverywhere(
       rig.catalog().num_objects(), rig.num_targets());
-  auto see_run = rig.Execute(see, &*olap, nullptr);
-  auto opt_run = rig.Execute(advised.result.final_layout, &*olap, nullptr);
+  auto see_run = rig.Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig.Execute(RunSpec(advised.result.final_layout), &*olap,
+                             nullptr);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
-  EXPECT_GT(see_run->elapsed_seconds / opt_run->elapsed_seconds, 0.93);
+  EXPECT_GT(see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 0.93);
 }
 
 TEST(PipelineTest, HeterogeneousTargetsAmplifyGains) {
@@ -150,11 +152,12 @@ TEST(PipelineTest, HeterogeneousTargetsAmplifyGains) {
   Advised advised = Advise(*rig31, &*olap, nullptr);
   const Layout see = Layout::StripeEverythingEverywhere(
       rig31->catalog().num_objects(), 2);
-  auto see_run = rig31->Execute(see, &*olap, nullptr);
-  auto opt_run = rig31->Execute(advised.result.final_layout, &*olap, nullptr);
+  auto see_run = rig31->Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig31->Execute(RunSpec(advised.result.final_layout), &*olap,
+                                nullptr);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
-  EXPECT_GT(see_run->elapsed_seconds / opt_run->elapsed_seconds, 1.3);
+  EXPECT_GT(see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 1.3);
 }
 
 TEST(PipelineTest, SsdExploitedAndBeatsSsdOnly) {
@@ -170,17 +173,18 @@ TEST(PipelineTest, SsdExploitedAndBeatsSsdOnly) {
   Advised advised = Advise(*rig, &*olap, nullptr);
   const Layout see = Layout::StripeEverythingEverywhere(
       rig->catalog().num_objects(), 5);
-  auto see_run = rig->Execute(see, &*olap, nullptr);
-  auto opt_run = rig->Execute(advised.result.final_layout, &*olap, nullptr);
+  auto see_run = rig->Execute(RunSpec(see), &*olap, nullptr);
+  auto opt_run = rig->Execute(RunSpec(advised.result.final_layout), &*olap,
+                              nullptr);
   auto ssd_only = AllOnOneTargetBaseline(advised.problem, 4);
   ASSERT_TRUE(ssd_only.ok());
-  auto ssd_run = rig->Execute(*ssd_only, &*olap, nullptr);
+  auto ssd_run = rig->Execute(RunSpec(*ssd_only), &*olap, nullptr);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
   ASSERT_TRUE(ssd_run.ok());
-  EXPECT_GT(see_run->elapsed_seconds / opt_run->elapsed_seconds, 1.5)
+  EXPECT_GT(see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 1.5)
       << "paper reports 1.96x";
-  EXPECT_LT(opt_run->elapsed_seconds, ssd_run->elapsed_seconds)
+  EXPECT_LT(opt_run->run.elapsed_seconds, ssd_run->run.elapsed_seconds)
       << "paper: optimized beats SSD-only by ~10%";
 }
 
@@ -203,11 +207,12 @@ TEST(PipelineTest, SmallSsdStillHelps) {
   const ExperimentRig& disk_rig = TpchRig();
   const Layout see4 = Layout::StripeEverythingEverywhere(
       disk_rig.catalog().num_objects(), 4);
-  auto disk_run = disk_rig.Execute(see4, &*olap, nullptr);
-  auto opt_run = rig->Execute(advised.result.final_layout, &*olap, nullptr);
+  auto disk_run = disk_rig.Execute(RunSpec(see4), &*olap, nullptr);
+  auto opt_run = rig->Execute(RunSpec(advised.result.final_layout), &*olap,
+                              nullptr);
   ASSERT_TRUE(disk_run.ok());
   ASSERT_TRUE(opt_run.ok());
-  EXPECT_GT(disk_run->elapsed_seconds / opt_run->elapsed_seconds, 1.2)
+  EXPECT_GT(disk_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 1.2)
       << "paper: 16201s disk-only SEE vs 8529s with a 4GB SSD";
 }
 
@@ -225,13 +230,14 @@ TEST(PipelineTest, ConsolidationImprovesOlapWithoutTankingOltp) {
   Advised advised = Advise(*rig, &*olap, &*oltp);
   const Layout see = Layout::StripeEverythingEverywhere(
       merged.num_objects(), 4);
-  auto see_run = rig->Execute(see, &*olap, &*oltp);
-  auto opt_run = rig->Execute(advised.result.final_layout, &*olap, &*oltp);
+  auto see_run = rig->Execute(RunSpec(see), &*olap, &*oltp);
+  auto opt_run = rig->Execute(RunSpec(advised.result.final_layout), &*olap,
+                              &*oltp);
   ASSERT_TRUE(see_run.ok());
   ASSERT_TRUE(opt_run.ok());
-  EXPECT_GT(see_run->elapsed_seconds / opt_run->elapsed_seconds, 1.1)
+  EXPECT_GT(see_run->run.elapsed_seconds / opt_run->run.elapsed_seconds, 1.1)
       << "paper reports 1.43x";
-  EXPECT_GT(opt_run->tpm, 0.85 * see_run->tpm)
+  EXPECT_GT(opt_run->run.tpm, 0.85 * see_run->run.tpm)
       << "paper reports a 1.18x tpmC gain";
 }
 
@@ -253,19 +259,19 @@ TEST(PipelineTest, AutoAdminMatchesAdvisorSeriallyButHurtsConcurrent) {
 
   const Layout see = Layout::StripeEverythingEverywhere(
       rig.catalog().num_objects(), rig.num_targets());
-  auto see1 = rig.Execute(see, &*olap1, nullptr);
-  auto aa1 = rig.Execute(*aa, &*olap1, nullptr);
+  auto see1 = rig.Execute(RunSpec(see), &*olap1, nullptr);
+  auto aa1 = rig.Execute(RunSpec(*aa), &*olap1, nullptr);
   ASSERT_TRUE(see1.ok());
   ASSERT_TRUE(aa1.ok());
   // Competitive at concurrency 1 (paper: AA 32634s vs SEE 40927s).
-  EXPECT_LT(aa1->elapsed_seconds, see1->elapsed_seconds);
+  EXPECT_LT(aa1->run.elapsed_seconds, see1->run.elapsed_seconds);
 
-  auto see8 = rig.Execute(see, &*olap8, nullptr);
-  auto aa8 = rig.Execute(*aa, &*olap8, nullptr);
+  auto see8 = rig.Execute(RunSpec(see), &*olap8, nullptr);
+  auto aa8 = rig.Execute(RunSpec(*aa), &*olap8, nullptr);
   ASSERT_TRUE(see8.ok());
   ASSERT_TRUE(aa8.ok());
   // Hurts at concurrency 8 (paper: AA 19937s vs SEE 16201s).
-  EXPECT_GT(aa8->elapsed_seconds, 1.05 * see8->elapsed_seconds);
+  EXPECT_GT(aa8->run.elapsed_seconds, 1.05 * see8->run.elapsed_seconds);
 
   // LINEITEM pinned to a single target (paper Fig. 20(b)): the
   // concurrency-oblivious choice behind the regression.

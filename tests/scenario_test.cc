@@ -250,8 +250,7 @@ TEST(ScenarioPlayerTest, ReplaysBitIdentically) {
   std::string first;
   for (int rep = 0; rep < 2; ++rep) {
     auto system = rig.MakeSystem();
-    auto out = PlayScenarioStatic(system.get(), *problem, see, spec,
-                                  FaultPlan{});
+    auto out = PlayScenario(system.get(), *problem, RunSpec(see), spec);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_GT(out->play.arrivals, 0u);
     EXPECT_GT(out->run.total_requests, 0u);
@@ -273,15 +272,13 @@ TEST(ScenarioPlayerTest, ChurnAndPhasesShapeTheArrivals) {
   // that never arrives contributes nothing.
   ScenarioSpec spec = PlayerSpec();
   auto system = rig.MakeSystem();
-  auto base = PlayScenarioStatic(system.get(), *problem, see, spec,
-                                 FaultPlan{});
+  auto base = PlayScenario(system.get(), *problem, RunSpec(see), spec);
   ASSERT_TRUE(base.ok());
 
   ScenarioSpec loud = spec;
   loud.tenants[0].rate *= 2.0;
   system = rig.MakeSystem();
-  auto louder = PlayScenarioStatic(system.get(), *problem, see, loud,
-                                   FaultPlan{});
+  auto louder = PlayScenario(system.get(), *problem, RunSpec(see), loud);
   ASSERT_TRUE(louder.ok());
   EXPECT_GT(louder->play.requests, base->play.requests);
 
@@ -289,8 +286,7 @@ TEST(ScenarioPlayerTest, ChurnAndPhasesShapeTheArrivals) {
   solo.tenants[1].arrive_s = spec.duration_s;  // never active
   solo.tenants[1].depart_s = 0.0;              // (0 = scenario end)
   system = rig.MakeSystem();
-  auto fewer = PlayScenarioStatic(system.get(), *problem, see, solo,
-                                  FaultPlan{});
+  auto fewer = PlayScenario(system.get(), *problem, RunSpec(see), solo);
   ASSERT_TRUE(fewer.ok());
   EXPECT_LT(fewer->play.requests, base->play.requests);
 }
@@ -306,8 +302,7 @@ TEST(ScenarioPlayerTest, StaticMatchesAutopilotWithDriftDisabled) {
   const Layout see = Layout::StripeEverythingEverywhere(kObjects, 3);
 
   auto system = rig.MakeSystem();
-  auto fixed = PlayScenarioStatic(system.get(), *problem, see, spec,
-                                  FaultPlan{});
+  auto fixed = PlayScenario(system.get(), *problem, RunSpec(see), spec);
   ASSERT_TRUE(fixed.ok());
 
   AutopilotOptions options;
@@ -403,8 +398,7 @@ TEST(ScenarioPlayerTest, RejectsSpecsBeyondTheCatalog) {
   ASSERT_TRUE(spec.ok());
   const Layout see = Layout::StripeEverythingEverywhere(kObjects, 3);
   auto system = rig.MakeSystem();
-  auto out = PlayScenarioStatic(system.get(), *problem, see, *spec,
-                                FaultPlan{});
+  auto out = PlayScenario(system.get(), *problem, RunSpec(see), *spec);
   EXPECT_FALSE(out.ok());
 }
 

@@ -5,6 +5,8 @@
 // must always yield a clean prefix of the written records or a hard
 // error — never a silently wrong record list.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -21,8 +23,11 @@
 namespace ldb {
 namespace {
 
+// ctest runs every case as its own process, and the whole-binary suite
+// entries run the same cases again in parallel: the pid keeps concurrent
+// processes off each other's files.
 std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {

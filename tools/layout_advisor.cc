@@ -19,44 +19,49 @@
 // src/storage/fault.h for the grammar, e.g.
 // "t=1,target=0,member=0,kind=fail") and reports the surviving health of
 // every target. A `faults` directive in the problem file is used when the
-// flag is absent (the flag takes precedence). With --replan, the advisor additionally runs
-// failure-aware re-layout: the recommended layout is replanned around the
-// failed/derated targets and the migration plan (bytes to move) is
-// printed. --replan without --faults replans against all-healthy targets
-// and must be a no-op (printed as such).
+// flag is absent (the flag takes precedence). With --replan, the advisor
+// additionally runs failure-aware re-layout: the recommended layout is
+// replanned around the failed/derated targets and the migration plan
+// (bytes to move) is printed. --replan without --faults replans against
+// all-healthy targets and must be a no-op (printed as such).
 //
 // --threads=<n> sets the solver's evaluation-engine parallelism and the
 // device-calibration parallelism (0 = one thread per hardware core). The
 // recommended layout is identical for every thread count.
 //
-// --migrate simulates carrying the recommendation out *online*: the
-// problem's targets are rebuilt as simulated devices, a foreground
-// workload synthesized from the fitted descriptions keeps running, and a
-// chunk-level migration executor copies every moving object from the SEE
-// baseline layout to the recommended one in the background
-// (src/core/migrate.h). --migrate-throttle=<MB/s> rate-limits the copy
-// I/O; composing with --faults injects the fault plan into the same run,
-// so a target can die mid-copy (the executor rolls back or freezes
-// routing, and the report says which).
+// Runs. --migrate, --autopilot and --scenario each request one run, and
+// each run is one RunSpec (src/core/run.h) executed by the same pipeline
+// on a simulated rebuild of the problem's targets (devices reconstructed
+// from the calibrated cost models' names) with the SEE baseline deployed
+// and the fault plan armed. The foreground is a closed-loop workload
+// synthesized from the fitted descriptions, or the problem's scenario.
+// Every run ends with the same lines: real-file verification, skipped
+// faults, and the journal.
 //
-// --autopilot engages the closed-loop layout autopilot on the simulated
-// rebuild of the problem's targets: the SEE baseline is deployed, a
-// foreground synthesized from the fitted descriptions runs, and the
-// monitor/drift/gate loop re-advises and migrates online (src/core/
-// autopilot.h). The optional <spec> uses the ParseAutopilotSpec grammar
-// ("interval=2;threshold=0.25,trip=2"); it overrides any `autopilot`
-// directive in the problem file. --drift-threshold=<x> (x > 0, `inf`
-// disables tripping) overrides the spec's threshold. Composes with
+// --migrate simulates carrying the recommendation out *online*: a
+// chunk-level migration executor copies every moving object from the SEE
+// baseline layout to the recommended one in the background while the
+// foreground keeps running (src/core/migrate.h).
+// --migrate-throttle=<MB/s> rate-limits the copy I/O; composing with
+// --faults injects the fault plan into the same run, so a target can die
+// mid-copy (the executor rolls back or freezes routing, and the report
+// says which).
+//
+// --autopilot engages the closed-loop layout autopilot: the
+// monitor/drift/gate loop re-advises and migrates online while the
+// foreground runs (src/core/autopilot.h). The optional <spec> uses the
+// ParseAutopilotSpec grammar ("interval=2;threshold=0.25,trip=2"); it
+// overrides any `autopilot` directive in the problem file.
+// --drift-threshold=<x> (x > 0, `inf` disables tripping) overrides the
+// spec's threshold. Composes with
 // --faults (same system, so a target can die mid-loop) and
 // --migrate-throttle (rate-limits autopilot-started copies and prices the
 // gate). --autopilot-duration=<s> sets the simulated foreground duration.
 //
-// --scenario plays the problem file's `scenario` directive (a declarative
+// --scenario makes the problem file's `scenario` directive (a declarative
 // time-varying multi-tenant workload; see src/scenario/scenario.h for the
-// grammar) against the simulated rebuild of the targets with the SEE
-// baseline deployed: statically on its own, or under the closed autopilot
-// loop when combined with --autopilot. Composes with --faults /
-// `faults` directive (same simulated system).
+// grammar) the foreground: played statically on its own, or under the
+// closed autopilot loop when combined with --autopilot.
 //
 // --journal=<path> makes the migration/autopilot control plane durable: a
 // crash-recoverable WAL (src/util/wal.h) records every migration journal
@@ -69,7 +74,9 @@
 // problem or plan is refused with a digest diagnostic. --journal-crash=
 // <spec> arms deterministic crash injection on the journal writer
 // (grammar "after=N[,torn=K]" / "syncs=S", see ParseWalCrashPolicy); a
-// fired crash exits with status 3 and prints the resume command.
+// fired crash exits with status 3 and prints the resume command: this
+// invocation's arguments without --journal-crash, plus --resume. A
+// resumed --scenario run restarts the player at the journal's clock.
 //
 // --backend=<sim|file> selects the execution backend for migration data
 // (src/io/backend.h). `sim` (the default) keeps everything on the event-
@@ -79,10 +86,12 @@
 // it, buffered + a warning otherwise): migration chunks are then *really
 // copied* between the files while the simulator still drives timing, and
 // the run ends by re-reading every object byte through the final routing
-// and checking it against the seeded pattern. Requires --migrate or
-// --autopilot; composes with --journal/--resume — a killed real-file
-// migration resumes against the same directory and recopies only what the
-// journal does not pin as committed.
+// and checking it against the seeded pattern (autopilot migrations then
+// copy every object, since each adopted layout's extents live in the
+// other file half). Requires --migrate or --autopilot; composes with
+// --journal/--resume — a killed real-file migration resumes against the
+// same directory and recopies only what the journal does not pin as
+// committed.
 //
 // --calibration-cache=<dir> persists calibrated device cost models across
 // invocations (keyed by device parameters + calibration options), so
@@ -92,29 +101,177 @@
 // see src/core/problem_io.h for the format and examples/data/ for a
 // sample.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-
-#include <cmath>
-#include <cstdlib>
+#include <vector>
 
 #include "core/advisor.h"
-#include "core/autopilot.h"
 #include "core/baselines.h"
 #include "core/journal.h"
-#include "core/migrate.h"
 #include "core/problem_io.h"
 #include "core/replan.h"
+#include "core/run.h"
+#include "core/sim_setup.h"
 #include "io/file_backend.h"
 #include "monitor/autopilot_spec.h"
 #include "scenario/sim.h"
 #include "storage/fault.h"
 #include "util/wal.h"
 
+namespace {
+
+using namespace ldb;
+
+double MiB(double bytes) { return bytes / (1024.0 * 1024.0); }
+
+void PrintDecisions(const RunReport& r) {
+  for (const AutopilotDecision& d : r.decisions) {
+    std::printf(
+        "  t=%7.2f drift=%.3f max-util %.1f%% -> %.1f%%, %.1f MB to move: "
+        "%s\n",
+        d.time, d.score, 100 * d.current_max_util, 100 * d.advised_max_util,
+        MiB(d.migration_bytes), d.note.c_str());
+  }
+  std::printf(
+      "  migrations: %d started, %d completed, %d suppressed by gate, %d "
+      "rolled back, %d frozen; %.1f MB copied\n",
+      r.migrations_started, r.migrations_completed, r.migrations_suppressed,
+      r.migrations_rolled_back, r.migrations_aborted, MiB(r.bytes_copied));
+}
+
+void PrintMigration(const RunReport& r) {
+  const double duration = r.stats.end_time >= 0.0 && r.stats.start_time >= 0.0
+                              ? r.stats.end_time - r.stats.start_time
+                              : -1.0;
+  std::printf(
+      "Migration (SEE -> recommended): %s in %.2f s simulated; %lld/%lld "
+      "chunks committed (%lld recopied), %.1f MB copied, %zu journal "
+      "records\n",
+      MigrationOutcomeName(r.outcome), duration,
+      static_cast<long long>(r.stats.chunks_committed),
+      static_cast<long long>(r.stats.chunks_total),
+      static_cast<long long>(r.stats.chunks_recopied), MiB(r.bytes_copied),
+      r.journal.size());
+  if (r.failed_target >= 0 || !r.failure_reason.empty()) {
+    std::printf("  failure: %s\n", r.failure_reason.c_str());
+  }
+  std::printf(
+      "  foreground during migration: %llu requests, mean %.2f ms, p99 %.2f "
+      "ms\n",
+      static_cast<unsigned long long>(r.fg_requests),
+      1e3 * r.fg_mean_latency_s, 1e3 * r.fg_p99_s);
+  std::printf("  every byte readable at end: %s\n",
+              r.readable.ok() ? "yes" : r.readable.ToString().c_str());
+}
+
+void PrintAutopilot(const AutopilotConfig& config, const RunReport& r) {
+  std::printf(
+      "Autopilot (%s): %llu ticks, %llu monitored completions over %.2f s "
+      "simulated\n",
+      AutopilotConfigToString(config).c_str(),
+      static_cast<unsigned long long>(r.ticks),
+      static_cast<unsigned long long>(r.monitor_events),
+      r.run.elapsed_seconds);
+  PrintDecisions(r);
+  std::printf(
+      "  foreground: %llu requests, mean %.2f ms; final drift score %.3f\n",
+      static_cast<unsigned long long>(r.fg_requests),
+      1e3 * r.fg_mean_latency_s, r.final_drift_score);
+}
+
+void PrintScenario(const LayoutProblem& problem, const ScenarioSpec& spec,
+                   const ScenarioPlayStats& play, const RunReport& r,
+                   bool autopilot) {
+  std::printf(
+      "Scenario (%s, %s): %llu arrivals, %llu requests submitted (%llu "
+      "shed), %llu completed over %.2f s simulated\n",
+      ScenarioToString(spec).c_str(), autopilot ? "autopilot" : "static",
+      static_cast<unsigned long long>(play.arrivals),
+      static_cast<unsigned long long>(play.requests),
+      static_cast<unsigned long long>(play.shed),
+      static_cast<unsigned long long>(r.run.total_requests),
+      r.run.elapsed_seconds);
+  for (size_t j = 0; j < r.run.utilization.size(); ++j) {
+    std::printf("  target %-12s measured utilization %.1f%%\n",
+                problem.targets[j].name.c_str(), 100 * r.run.utilization[j]);
+  }
+  if (autopilot) PrintDecisions(r);
+}
+
+/// Single-quotes an argument for a POSIX shell unless it is plainly safe.
+std::string ShellQuote(const std::string& arg) {
+  const bool safe =
+      !arg.empty() && arg.find_first_not_of(
+                          "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                          "0123456789_-+=/.,:@%") == std::string::npos;
+  if (safe) return arg;
+  std::string out = "'";
+  for (char c : arg) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out += c;
+    }
+  }
+  return out + "'";
+}
+
+/// This invocation as a resume command: the same arguments minus the crash
+/// injection, plus --resume.
+std::string ResumeCommand(int argc, char** argv) {
+  std::string cmd;
+  for (int a = 0; a < argc; ++a) {
+    if (std::strncmp(argv[a], "--journal-crash=", 16) == 0 ||
+        std::strcmp(argv[a], "--resume") == 0) {
+      continue;
+    }
+    if (!cmd.empty()) cmd += ' ';
+    cmd += ShellQuote(argv[a]);
+  }
+  return cmd + " --resume";
+}
+
+/// The lines every run ends with: real-file verification, skipped faults,
+/// and the journal (with the resume command after an injected crash).
+/// Returns the exit status: 3 after a journal crash, 1 when the real files
+/// do not verify, else 0.
+int PrintRunTail(const RunReport& r, const std::string& journal_path,
+                 int argc, char** argv) {
+  if (r.real_backend) {
+    std::printf(
+        "  every object byte readable on real files: %s (%.1f MB verified)\n",
+        r.real_readable.ok() ? "yes" : r.real_readable.ToString().c_str(),
+        MiB(r.real_bytes_verified));
+  }
+  for (const std::string& s : r.run.skipped_faults) {
+    std::printf("  skipped fault: %s\n", s.c_str());
+  }
+  if (!journal_path.empty()) {
+    std::printf(
+        "  journal: %lld records (%lld recovered), %lld bytes at %s%s\n",
+        static_cast<long long>(r.journal_records),
+        static_cast<long long>(r.resumed_records),
+        static_cast<long long>(r.journal_bytes), journal_path.c_str(),
+        r.resumed_from_journal ? " (resumed from journal)" : "");
+    if (r.journal_crashed) {
+      std::printf(
+          "  journal crash injected (%s); control plane frozen, durable "
+          "state kept\n"
+          "  resume with: %s\n",
+          r.journal_error.c_str(), ResumeCommand(argc, argv).c_str());
+      return 3;
+    }
+  }
+  return r.real_backend && !r.real_readable.ok() ? 1 : 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace ldb;
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <problem-file> [--no-regularize] [--seeds=<n>] "
@@ -405,114 +562,25 @@ int main(int argc, char** argv) {
           g.direct_io ? "O_DIRECT" : "buffered",
           static_cast<long long>(g.logical_block_bytes));
     }
-    if (migrate) {
-      MigrateOptions mopts;
-      mopts.data_backend = file_backend.get();
-      if (migrate_throttle_mbps > 0.0) {
-        mopts.bandwidth_bytes_per_s = migrate_throttle_mbps * 1024.0 * 1024.0;
-      }
-      mopts.max_bg_share = 0.5;
-      mopts.journal_path = journal_path;
-      mopts.journal_crash = journal_crash;
-      mopts.resume = resume;
-      const Layout see = SeeBaseline(loaded->problem);
-      auto sim = SimulateProblemMigration(loaded->problem, see,
-                                          result->final_layout, plan, mopts);
-      if (!sim.ok()) {
-        std::fprintf(stderr, "--migrate: %s\n",
-                     sim.status().ToString().c_str());
-        return 1;
-      }
-      const double duration =
-          sim->stats.end_time >= 0.0 && sim->stats.start_time >= 0.0
-              ? sim->stats.end_time - sim->stats.start_time
-              : -1.0;
-      std::printf(
-          "Migration (SEE -> recommended): %s in %.2f s simulated; "
-          "%lld/%lld chunks committed (%lld recopied), %.1f MB copied, "
-          "%zu journal records\n",
-          MigrationOutcomeName(sim->outcome), duration,
-          static_cast<long long>(sim->stats.chunks_committed),
-          static_cast<long long>(sim->stats.chunks_total),
-          static_cast<long long>(sim->stats.chunks_recopied),
-          sim->stats.bytes_written / (1024.0 * 1024.0),
-          sim->journal.size());
-      if (sim->failed_target >= 0 || !sim->failure_reason.empty()) {
-        std::printf("  failure: %s\n", sim->failure_reason.c_str());
-      }
-      std::printf(
-          "  foreground during migration: %llu requests, mean %.2f ms, "
-          "p99 %.2f ms\n",
-          static_cast<unsigned long long>(sim->fg_requests),
-          1e3 * sim->fg_mean_s, 1e3 * sim->fg_p99_s);
-      std::printf("  every byte readable at end: %s\n",
-                  sim->readable.ok() ? "yes"
-                                     : sim->readable.ToString().c_str());
-      if (sim->real_backend) {
-        std::printf(
-            "  every object byte readable on real files: %s (%.1f MB "
-            "verified)\n",
-            sim->real_readable.ok() ? "yes"
-                                    : sim->real_readable.ToString().c_str(),
-            sim->real_bytes_verified / (1024.0 * 1024.0));
-      }
-      for (const std::string& s : sim->skipped_faults) {
-        std::printf("  skipped fault: %s\n", s.c_str());
-      }
-      if (!journal_path.empty()) {
-        std::printf(
-            "  journal: %lld records (%lld recovered), %lld bytes at %s\n",
-            static_cast<long long>(sim->journal_records),
-            static_cast<long long>(sim->resumed_records),
-            static_cast<long long>(sim->journal_bytes), journal_path.c_str());
-        if (sim->journal_crashed) {
-          std::printf(
-              "  journal crash injected (%s); migration frozen pre-crash "
-              "state is durable\n"
-              "  resume with: %s %s --migrate --journal=%s --resume%s%s\n",
-              sim->journal_error.c_str(), argv[0], path.c_str(),
-              journal_path.c_str(),
-              backend_file ? " --backend=file --backend-dir=" : "",
-              backend_file ? backend_dir.c_str() : "");
-          return 3;
-        }
-      }
-      if (sim->real_backend && !sim->real_readable.ok()) return 1;
+
+    // The run half: one RunSpec per requested run, each deploying the SEE
+    // baseline with the fault plan armed. `execute` runs one and prints
+    // its report; a nonzero result is the exit status.
+    const Layout see = SeeBaseline(loaded->problem);
+    MigrateOptions mopts;
+    mopts.data_backend = file_backend.get();
+    if (migrate_throttle_mbps > 0.0) {
+      mopts.bandwidth_bytes_per_s = migrate_throttle_mbps * 1024.0 * 1024.0;
     }
-    if (autopilot || scenario) {
-      AutopilotOptions aopts;
-      if (has_autopilot_spec) {
-        auto cfg = ParseAutopilotSpec(autopilot_spec);
-        if (!cfg.ok()) {
-          std::fprintf(stderr, "--autopilot: %s\n",
-                       cfg.status().ToString().c_str());
-          return 2;
-        }
-        aopts.config = *cfg;
-      } else if (loaded->has_autopilot) {
-        aopts.config = loaded->autopilot;
-      }
-      if (has_drift_threshold) {
-        aopts.config.drift.threshold = drift_threshold;
-      }
-      if (migrate_throttle_mbps > 0.0) {
-        aopts.migrate.bandwidth_bytes_per_s =
-            migrate_throttle_mbps * 1024.0 * 1024.0;
-      }
-      aopts.migrate.max_bg_share = 0.5;
-      aopts.migrate.data_backend = file_backend.get();
-      aopts.advisor = options;
-      aopts.journal_path = journal_path;
-      aopts.journal_crash = journal_crash;
-      aopts.resume = resume;
-      const Layout see = SeeBaseline(loaded->problem);
-      if (scenario) {
-        if (!loaded->has_scenario) {
-          std::fprintf(stderr,
-                       "--scenario: the problem file has no scenario "
-                       "directive\n");
-          return 2;
-        }
+    mopts.max_bg_share = 0.5;
+    const auto execute = [&](const char* flag, RunSpec spec,
+                             bool play_scenario) -> int {
+      spec.faults = plan;
+      const bool ap = spec.autopilot.has_value();
+      ScenarioPlayStats play;
+      OltpSpec synthetic;  // the workload driver points at it
+      ForegroundDriver foreground;
+      if (play_scenario) {
         ScenarioPlayerOptions popts;
         if (resume) {
           // Read-only peek at the journal's scenario clock so the player
@@ -530,139 +598,83 @@ int main(int argc, char** argv) {
                         rec->scenario_position_s);
           }
         }
-        auto out = SimulateProblemScenario(
-            loaded->problem, see, loaded->scenario, plan,
-            autopilot ? &aopts : nullptr, popts);
-        if (!out.ok()) {
-          std::fprintf(stderr, "--scenario: %s\n",
-                       out.status().ToString().c_str());
+        // Journaled scenario runs record the scenario clock every tick.
+        if (ap && !journal_path.empty()) {
+          spec.autopilot->scenario_position_offset_s = popts.start_offset_s;
+        }
+        foreground = ScenarioForeground(loaded->scenario, popts, &play);
+      } else {
+        auto fg = SyntheticForeground(
+            loaded->problem, ap ? "autopilot-fg" : "migrate-fg",
+            ap ? "autopilot" : "migrate");
+        if (!fg.ok()) {
+          std::fprintf(stderr, "%s: %s\n", flag,
+                       fg.status().ToString().c_str());
           return 1;
         }
-        std::printf(
-            "Scenario (%s, %s): %llu arrivals, %llu requests submitted "
-            "(%llu shed), %llu completed over %.2f s simulated\n",
-            ScenarioToString(loaded->scenario).c_str(),
-            autopilot ? "autopilot" : "static",
-            static_cast<unsigned long long>(out->play.arrivals),
-            static_cast<unsigned long long>(out->play.requests),
-            static_cast<unsigned long long>(out->play.shed),
-            static_cast<unsigned long long>(out->run.total_requests),
-            out->run.elapsed_seconds);
-        for (size_t j = 0; j < out->run.utilization.size(); ++j) {
-          std::printf("  target %-12s measured utilization %.1f%%\n",
-                      loaded->problem.targets[j].name.c_str(),
-                      100 * out->run.utilization[j]);
-        }
-        if (out->has_autopilot) {
-          for (const AutopilotDecision& d : out->autopilot.decisions) {
-            std::printf(
-                "  t=%7.2f drift=%.3f max-util %.1f%% -> %.1f%%, %.1f MB "
-                "to move: %s\n",
-                d.time, d.score, 100 * d.current_max_util,
-                100 * d.advised_max_util,
-                d.migration_bytes / (1024.0 * 1024.0), d.note.c_str());
-          }
-          std::printf(
-              "  migrations: %d started, %d completed, %d suppressed by "
-              "gate; %.1f MB copied\n",
-              out->autopilot.migrations_started,
-              out->autopilot.migrations_completed,
-              out->autopilot.migrations_suppressed,
-              out->autopilot.bytes_copied / (1024.0 * 1024.0));
-          if (out->autopilot.real_backend) {
-            std::printf(
-                "  every object byte readable on real files: %s (%.1f MB "
-                "verified)\n",
-                out->autopilot.real_readable.ok()
-                    ? "yes"
-                    : out->autopilot.real_readable.ToString().c_str(),
-                out->autopilot.real_bytes_verified / (1024.0 * 1024.0));
-          }
-          if (!journal_path.empty()) {
-            std::printf("  journal: %lld records, %lld bytes at %s%s\n",
-                        static_cast<long long>(out->autopilot.journal_records),
-                        static_cast<long long>(out->autopilot.journal_bytes),
-                        journal_path.c_str(),
-                        out->autopilot.resumed_from_journal
-                            ? " (resumed from journal)"
-                            : "");
-            if (out->autopilot.journal_crashed) {
-              std::printf(
-                  "  journal crash injected; control plane frozen, durable "
-                  "state kept\n"
-                  "  resume with: %s %s --scenario --autopilot "
-                  "--journal=%s --resume\n",
-                  argv[0], path.c_str(), journal_path.c_str());
-              return 3;
-            }
-          }
-          if (out->autopilot.real_backend &&
-              !out->autopilot.real_readable.ok()) {
-            return 1;
-          }
-        }
-        return 0;
+        synthetic = std::move(fg).value();
+        foreground = WorkloadForeground(
+            nullptr, &synthetic, ap ? autopilot_duration_s : 30.0, 42);
       }
-      auto ap = SimulateProblemAutopilot(loaded->problem, see, plan, aopts,
-                                         autopilot_duration_s);
-      if (!ap.ok()) {
-        std::fprintf(stderr, "--autopilot: %s\n",
-                     ap.status().ToString().c_str());
+      auto report = SimulateProblem(loaded->problem, spec, foreground);
+      if (!report.ok()) {
+        std::fprintf(stderr, "%s: %s\n", flag,
+                     report.status().ToString().c_str());
         return 1;
       }
-      std::printf(
-          "Autopilot (%s): %llu ticks, %llu monitored completions over "
-          "%.2f s simulated\n",
-          AutopilotConfigToString(aopts.config).c_str(),
-          static_cast<unsigned long long>(ap->ticks),
-          static_cast<unsigned long long>(ap->monitor_events),
-          ap->run.elapsed_seconds);
-      for (const AutopilotDecision& d : ap->decisions) {
-        std::printf(
-            "  t=%7.2f drift=%.3f max-util %.1f%% -> %.1f%%, %.1f MB to "
-            "move: %s\n",
-            d.time, d.score, 100 * d.current_max_util,
-            100 * d.advised_max_util, d.migration_bytes / (1024.0 * 1024.0),
-            d.note.c_str());
+      if (spec.migrate_to) {
+        PrintMigration(*report);
+      } else if (play_scenario) {
+        PrintScenario(loaded->problem, loaded->scenario, play, *report, ap);
+      } else {
+        PrintAutopilot(spec.autopilot->config, *report);
       }
-      std::printf(
-          "  migrations: %d started, %d completed, %d suppressed by gate, "
-          "%d rolled back, %d frozen; %.1f MB copied\n",
-          ap->migrations_started, ap->migrations_completed,
-          ap->migrations_suppressed, ap->migrations_rolled_back,
-          ap->migrations_aborted, ap->bytes_copied / (1024.0 * 1024.0));
-      std::printf(
-          "  foreground: %llu requests, mean %.2f ms; final drift score "
-          "%.3f\n",
-          static_cast<unsigned long long>(ap->fg_requests),
-          1e3 * ap->fg_mean_latency_s, ap->final_drift_score);
-      if (ap->real_backend) {
-        std::printf(
-            "  every object byte readable on real files: %s (%.1f MB "
-            "verified)\n",
-            ap->real_readable.ok() ? "yes"
-                                   : ap->real_readable.ToString().c_str(),
-            ap->real_bytes_verified / (1024.0 * 1024.0));
+      return PrintRunTail(*report, journal_path, argc, argv);
+    };
+    if (migrate) {
+      RunSpec spec(see);
+      spec.migrate_to = result->final_layout;
+      spec.migrate = mopts;
+      spec.migrate.journal_path = journal_path;
+      spec.migrate.journal_crash = journal_crash;
+      spec.migrate.resume = resume;
+      if (const int rc = execute("--migrate", std::move(spec), false)) {
+        return rc;
       }
-      for (const std::string& s : ap->skipped_faults) {
-        std::printf("  skipped fault: %s\n", s.c_str());
-      }
-      if (!journal_path.empty()) {
-        std::printf("  journal: %lld records, %lld bytes at %s%s\n",
-                    static_cast<long long>(ap->journal_records),
-                    static_cast<long long>(ap->journal_bytes),
-                    journal_path.c_str(),
-                    ap->resumed_from_journal ? " (resumed from journal)" : "");
-        if (ap->journal_crashed) {
-          std::printf(
-              "  journal crash injected; control plane frozen, durable "
-              "state kept\n"
-              "  resume with: %s %s --autopilot --journal=%s --resume\n",
-              argv[0], path.c_str(), journal_path.c_str());
-          return 3;
+    }
+    if (autopilot || scenario) {
+      RunSpec spec(see);
+      if (autopilot) {
+        AutopilotOptions aopts;
+        if (has_autopilot_spec) {
+          auto cfg = ParseAutopilotSpec(autopilot_spec);
+          if (!cfg.ok()) {
+            std::fprintf(stderr, "--autopilot: %s\n",
+                         cfg.status().ToString().c_str());
+            return 2;
+          }
+          aopts.config = *cfg;
+        } else if (loaded->has_autopilot) {
+          aopts.config = loaded->autopilot;
         }
+        if (has_drift_threshold) {
+          aopts.config.drift.threshold = drift_threshold;
+        }
+        aopts.migrate = mopts;
+        aopts.advisor = options;
+        aopts.journal_path = journal_path;
+        aopts.journal_crash = journal_crash;
+        aopts.resume = resume;
+        spec.autopilot = std::move(aopts);
       }
-      if (ap->real_backend && !ap->real_readable.ok()) return 1;
+      if (scenario && !loaded->has_scenario) {
+        std::fprintf(stderr,
+                     "--scenario: the problem file has no scenario "
+                     "directive\n");
+        return 2;
+      }
+      return execute(scenario ? "--scenario" : "--autopilot", std::move(spec),
+                     scenario);
     }
   }
   return 0;
