@@ -56,14 +56,21 @@ int main(int argc, char** argv) {
   const double seq2 = model->ReadCost(8 * kKiB, 128, 2);
   const double rnd0 = model->ReadCost(8 * kKiB, 1, 0);
   const double rnd4 = model->ReadCost(8 * kKiB, 1, 4);
+  // Every shape bar holds for the default calibration; a miss fails the
+  // run.
+  bool all_ok = true;
+  const auto check = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "[ok]" : "[MISS]";
+  };
   std::printf("Shape checks (paper Figure 8):\n");
   std::printf("  sequential %.1fx cheaper than random at chi=0  %s\n",
-              rnd0 / seq0, rnd0 / seq0 > 4 ? "[ok]" : "[MISS]");
+              rnd0 / seq0, check(rnd0 / seq0 > 4));
   std::printf("  sequential advantage at chi=1 still %.1fx       %s\n",
-              rnd0 / seq1, rnd0 / seq1 > 1.5 ? "[ok]" : "[MISS]");
+              rnd0 / seq1, check(rnd0 / seq1 > 1.5));
   std::printf("  collapse by chi=2: seq cost grew %.1fx          %s\n",
-              seq2 / seq0, seq2 / seq0 > 4 ? "[ok]" : "[MISS]");
+              seq2 / seq0, check(seq2 / seq0 > 4));
   std::printf("  random cost falls with contention (%.2f -> %.2f ms) %s\n",
-              1e3 * rnd0, 1e3 * rnd4, rnd4 < rnd0 ? "[ok]" : "[MISS]");
-  return 0;
+              1e3 * rnd0, 1e3 * rnd4, check(rnd4 < rnd0));
+  return all_ok ? 0 : 1;
 }

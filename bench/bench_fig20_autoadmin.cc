@@ -78,14 +78,19 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
+  // Both bars hold at every seed tried; a miss fails the run. The tool
+  // running time bar has a wide margin (AutoAdmin's greedy search takes
+  // well under a millisecond, the advisor about ten).
+  const bool concurrency_ok = aa8 > see8;
+  const bool time_ok = aa_seconds < advised1->result.total_seconds();
   std::printf(
       "AutoAdmin hurts under concurrency: OLAP8-63 AutoAdmin/SEE = %.2fx "
       "(paper 1.23x slower) %s\n",
-      aa8 / see8, aa8 > see8 ? "[ok]" : "[MISS]");
+      aa8 / see8, concurrency_ok ? "[ok]" : "[MISS]");
   std::printf(
       "Tool running time: AutoAdmin %.3fs vs advisor %.3fs (paper: "
       "AutoAdmin about half the advisor's time) %s\n",
       aa_seconds, advised1->result.total_seconds(),
-      aa_seconds < advised1->result.total_seconds() ? "[ok]" : "[MISS]");
-  return 0;
+      time_ok ? "[ok]" : "[MISS]");
+  return concurrency_ok && time_ok ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,6 +15,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/problem.h"
+#include "core/regularize.h"
 #include "model/calibration.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
@@ -452,6 +455,69 @@ void BM_TargetModelColumnGradientSparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TargetModelColumnGradientSparse)->Arg(160)->Arg(640)->Arg(2560);
+
+void BM_RegularizeSparse(benchmark::State& state) {
+  // The regularizer's candidate search (greedy pass + refinement sweeps)
+  // on a sparse multi-tenant problem: tenants of 8 sharing CSR overlap
+  // rows, M = 16 disks with 60% headroom, and a seeded fractional layout
+  // (each object spread over 2-5 disks) standing in for the solver's.
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kTargets = 16;
+  constexpr int kTenant = 8;
+  Rng rng(9);
+  LayoutProblem p;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    p.object_names.push_back("obj" + std::to_string(i));
+    p.object_sizes.push_back(rng.UniformInt(int64_t{64}, int64_t{512}) *
+                             kMiB);
+    total += p.object_sizes.back();
+    p.object_kinds.push_back(ObjectKind::kTable);
+    WorkloadDesc w;
+    const double heat = rng.Uniform();
+    w.read_rate = 0.09 * (2.0 + 400.0 * heat * heat * heat);
+    w.read_size = 64 * kKiB;
+    w.write_rate = w.read_rate * rng.Uniform(0.0, 0.25);
+    w.write_size = 64 * kKiB;
+    w.run_count = rng.Uniform(1.0, 32.0);
+    const int lo = i / kTenant * kTenant;
+    for (int k = lo; k < std::min(n, lo + kTenant); ++k) {
+      w.overlap_index.push_back(k);
+      w.overlap_value.push_back(k == i ? rng.Uniform(0.0, 1.5)
+                                       : rng.Uniform(0.05, 0.6));
+    }
+    p.workloads.push_back(std::move(w));
+  }
+  for (int j = 0; j < kTargets; ++j) {
+    p.targets.push_back(AdvisorTarget{"disk" + std::to_string(j),
+                                      total * 8 / (5 * kTargets) + kMiB,
+                                      &SharedCostModel()});
+  }
+  Layout solver_layout(n, kTargets);
+  for (int i = 0; i < n; ++i) {
+    const int spread = 2 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    double sum = 0.0;
+    std::vector<double> w(static_cast<size_t>(spread));
+    for (double& v : w) sum += (v = rng.Uniform(0.1, 1.0));
+    const int first =
+        static_cast<int>(rng.UniformInt(static_cast<uint64_t>(kTargets)));
+    for (int s = 0; s < spread; ++s) {
+      solver_layout.Set(i, (first + s) % kTargets,
+                        w[static_cast<size_t>(s)] / sum);
+    }
+  }
+  const TargetModel model = p.MakeTargetModel();
+  const Regularizer regularizer(&p, &model);
+  for (auto _ : state) {
+    Result<Layout> layout = regularizer.Regularize(solver_layout);
+    LDB_CHECK(layout.ok());
+    benchmark::DoNotOptimize(layout->Row(0));
+  }
+}
+BENCHMARK(BM_RegularizeSparse)
+    ->Arg(160)
+    ->Arg(640)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexProjection(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -171,17 +171,6 @@ TargetHealth HealthFromFaultPlan(const FaultPlan& plan,
 
 namespace {
 
-/// max_j µ_j / derate_j over the cache.
-double EffectiveMax(const RegularizerOptions& options,
-                    const std::vector<double>& mu) {
-  double out = 0.0;
-  for (size_t j = 0; j < mu.size(); ++j) {
-    out = std::max(out, EffectiveTargetUtilization(options, mu[j],
-                                                   static_cast<int>(j)));
-  }
-  return out;
-}
-
 std::vector<double> ColumnUtilizations(const LayoutProblem& problem,
                                        const TargetModel& model,
                                        const Layout& layout) {
@@ -381,22 +370,9 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
            problem.workloads[static_cast<size_t>(b)].total_rate();
   });
 
-  std::vector<double> mu = ColumnUtilizations(degraded, model, layout);
-  for (int i : displaced) {
-    RegularCandidateChoice choice =
-        BestRegularRowForObject(degraded, model, ropts, &layout, i, mu);
-    if (!choice.found) {
-      return Status::Infeasible(StrFormat(
-          "no surviving placement for object %s; re-run the full advisor",
-          problem.object_names[static_cast<size_t>(i)].c_str()));
-    }
-    layout.SetRowRegular(i, choice.targets);
-    mu = std::move(choice.mu);
-  }
-
-  // Refinement sweeps over movable rows only: displaced rows may settle
-  // better once all are placed, and rows on derated targets may escape
-  // them. Frozen rows are never revisited.
+  // Rows the refinement sweeps may move: displaced rows may settle better
+  // once all are placed, and rows on derated targets may escape them.
+  // Frozen rows are never revisited.
   std::vector<int> movable;
   for (int i = 0; i < n; ++i) {
     if (is_displaced[static_cast<size_t>(i)] ||
@@ -404,21 +380,35 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
       movable.push_back(i);
     }
   }
-  for (int pass = 0; pass < ropts.refinement_passes; ++pass) {
-    bool improved = false;
-    for (int i : movable) {
-      const double incumbent = EffectiveMax(ropts, mu);
-      RegularCandidateChoice choice =
-          BestRegularRowForObject(degraded, model, ropts, &layout, i, mu);
-      if (choice.found &&
-          choice.objective < incumbent - options.improvement_epsilon &&
-          layout.TargetsOf(i) != choice.targets) {
-        layout.SetRowRegular(i, choice.targets);
-        mu = std::move(choice.mu);
-        improved = true;
+  std::vector<double> mu;
+  {
+    // Scoped so its column cache is freed before the polish builds its own.
+    RegularRowPricer pricer(&degraded, &model, ropts, std::move(layout));
+    for (int i : displaced) {
+      const RegularCandidateChoice choice = pricer.Best(i);
+      if (!choice.found) {
+        return Status::Infeasible(StrFormat(
+            "no surviving placement for object %s; re-run the full advisor",
+            problem.object_names[static_cast<size_t>(i)].c_str()));
       }
+      pricer.Apply(i, choice.targets);
     }
-    if (!improved) break;
+    for (int pass = 0; pass < ropts.refinement_passes; ++pass) {
+      bool improved = false;
+      for (int i : movable) {
+        const double incumbent = EffectiveMaxUtilization(ropts, pricer.mu());
+        const RegularCandidateChoice choice = pricer.Best(i);
+        if (choice.found &&
+            choice.objective < incumbent - options.improvement_epsilon &&
+            pricer.layout().TargetsOf(i) != choice.targets) {
+          pricer.Apply(i, choice.targets);
+          improved = true;
+        }
+      }
+      if (!improved) break;
+    }
+    layout = pricer.layout();
+    mu = pricer.mu();
   }
 
   // Warm-started solver polish: re-optimize the displaced rows only (all
@@ -442,27 +432,26 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     ProjectedGradientSolver solver(options.solver);
     Result<SolverResult> polished = solver.Solve(nlp, layout);
     if (polished.ok()) {
-      Layout candidate = polished->layout;
-      std::vector<double> cmu = ColumnUtilizations(degraded, model, candidate);
+      RegularRowPricer candidate(&degraded, &model, ropts,
+                                 std::move(polished->layout));
       bool regularized = true;
       for (int i : displaced) {
-        RegularCandidateChoice choice = BestRegularRowForObject(
-            degraded, model, ropts, &candidate, i, cmu);
+        const RegularCandidateChoice choice = candidate.Best(i);
         if (!choice.found) {
           regularized = false;
           break;
         }
-        candidate.SetRowRegular(i, choice.targets);
-        cmu = std::move(choice.mu);
+        candidate.Apply(i, choice.targets);
       }
       if (regularized &&
-          EffectiveMax(ropts, cmu) <
-              EffectiveMax(ropts, mu) - options.improvement_epsilon &&
-          candidate.SatisfiesCapacity(problem.object_sizes,
-                                      problem.capacities()) &&
-          degraded.constraints.SatisfiedBy(candidate)) {
-        layout = std::move(candidate);
-        mu = std::move(cmu);
+          EffectiveMaxUtilization(ropts, candidate.mu()) <
+              EffectiveMaxUtilization(ropts, mu) -
+                  options.improvement_epsilon &&
+          candidate.layout().SatisfiesCapacity(problem.object_sizes,
+                                               problem.capacities()) &&
+          degraded.constraints.SatisfiedBy(candidate.layout())) {
+        layout = candidate.layout();
+        mu = candidate.mu();
       }
     }
   }
@@ -491,7 +480,7 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   ReplanResult result;
   result.layout = layout;
   result.migration = PriceMigration(problem, current, layout, tol);
-  result.max_utilization = EffectiveMax(ropts, mu);
+  result.max_utilization = EffectiveMaxUtilization(ropts, mu);
   {
     const std::vector<double> prev_mu =
         ColumnUtilizations(problem, model, current);

@@ -35,8 +35,8 @@ std::vector<int64_t> Layout::BytesPerTarget(
   std::vector<int64_t> bytes(static_cast<size_t>(m_), 0);
   for (int i = 0; i < n_; ++i) {
     for (int j = 0; j < m_; ++j) {
-      bytes[static_cast<size_t>(j)] += static_cast<int64_t>(
-          std::ceil(At(i, j) * static_cast<double>(sizes[static_cast<size_t>(i)])));
+      bytes[static_cast<size_t>(j)] +=
+          CellBytes(At(i, j), sizes[static_cast<size_t>(i)]);
     }
   }
   return bytes;

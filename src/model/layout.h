@@ -1,6 +1,7 @@
 #ifndef LAYOUTDB_MODEL_LAYOUT_H_
 #define LAYOUTDB_MODEL_LAYOUT_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,6 +35,13 @@ class Layout {
 
   /// Sum of row i (should be 1 for valid layouts).
   double RowSum(int i) const;
+
+  /// Bytes a fraction `fraction` of a `size`-byte object takes on a target
+  /// (rounded up; the per-cell term of BytesPerTarget).
+  static int64_t CellBytes(double fraction, int64_t size) {
+    return static_cast<int64_t>(
+        std::ceil(fraction * static_cast<double>(size)));
+  }
 
   /// Bytes of each target consumed under this layout for objects of the
   /// given sizes.

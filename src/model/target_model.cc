@@ -31,6 +31,45 @@ TargetModel::TargetModel(std::vector<TargetModelInfo> targets,
   }
 }
 
+double TargetModel::ObjectTerm(const TargetModelInfo& tgt,
+                               const WorkloadSet& workloads,
+                               const double* rate, int i,
+                               double fraction) const {
+  const double rate_ij = rate[i];
+  if (rate_ij <= kRateEpsilon) return 0.0;
+  const WorkloadDesc& wi = workloads[static_cast<size_t>(i)];
+
+  // χ_ij (Eq. 2): temporally-correlated competing requests per own
+  // request, plus the self-overlap extension — an object's own
+  // concurrent streams compete with each other wherever the object is
+  // placed, so the fitted mean concurrent-request count is added
+  // directly (it does not dilute with striping: the streams follow the
+  // object onto every target).
+  double interfering = 0.0;
+  if (wi.has_sparse_overlap()) {
+    const size_t nnz = wi.overlap_index.size();
+    for (size_t s = 0; s < nnz; ++s) {
+      const int k = wi.overlap_index[s];
+      if (k == i) continue;
+      const double rate_kj = rate[k];
+      if (rate_kj <= kRateEpsilon) continue;
+      interfering += rate_kj * wi.overlap_value[s];
+    }
+  } else {
+    const int n = static_cast<int>(workloads.size());
+    for (int k = 0; k < n; ++k) {
+      if (k == i) continue;
+      const double rate_kj = rate[k];
+      if (rate_kj <= kRateEpsilon) continue;
+      interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
+    }
+  }
+  const double chi =
+      interfering / rate_ij + wi.overlap_with(static_cast<size_t>(i));
+  return PerObjectUtilization(tgt, layout_model_.Transform(wi, fraction),
+                              chi);
+}
+
 double TargetModel::TargetUtilizationInternal(
     const WorkloadSet& workloads, const Layout& layout, int j,
     std::vector<double>* mu_i) const {
@@ -38,49 +77,22 @@ double TargetModel::TargetUtilizationInternal(
   const TargetModelInfo& tgt = targets_[static_cast<size_t>(j)];
   if (mu_i != nullptr) mu_i->assign(static_cast<size_t>(n), 0.0);
 
-  // Pass 1: per-target workloads for every object present on the target.
-  std::vector<PerTargetWorkload> per(static_cast<size_t>(n));
+  // Pass 1: every object's request rate on the target.
+  std::vector<double> rate(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    per[static_cast<size_t>(i)] = layout_model_.Transform(
-        workloads[static_cast<size_t>(i)], std::max(0.0, layout.At(i, j)));
+    rate[static_cast<size_t>(i)] =
+        layout_model_
+            .Transform(workloads[static_cast<size_t>(i)],
+                       std::max(0.0, layout.At(i, j)))
+            .total_rate();
   }
 
-  // Pass 2: contention factors (Eq. 2) and utilizations (Eq. 1).
+  // Pass 2: contention factors (Eq. 2) and utilizations (Eq. 1), summed in
+  // index order (absent objects add +0.0).
   double mu_j = 0.0;
   for (int i = 0; i < n; ++i) {
-    const PerTargetWorkload& wij = per[static_cast<size_t>(i)];
-    const double rate_ij = wij.total_rate();
-    if (rate_ij <= kRateEpsilon) continue;
-    const WorkloadDesc& wi = workloads[static_cast<size_t>(i)];
-
-    // χ_ij (Eq. 2): temporally-correlated competing requests per own
-    // request, plus the self-overlap extension — an object's own
-    // concurrent streams compete with each other wherever the object is
-    // placed, so the fitted mean concurrent-request count is added
-    // directly (it does not dilute with striping: the streams follow the
-    // object onto every target).
-    double interfering = 0.0;
-    if (wi.has_sparse_overlap()) {
-      const size_t nnz = wi.overlap_index.size();
-      for (size_t s = 0; s < nnz; ++s) {
-        const int k = wi.overlap_index[s];
-        if (k == i) continue;
-        const double rate_kj = per[static_cast<size_t>(k)].total_rate();
-        if (rate_kj <= kRateEpsilon) continue;
-        interfering += rate_kj * wi.overlap_value[s];
-      }
-    } else {
-      for (int k = 0; k < n; ++k) {
-        if (k == i) continue;
-        const double rate_kj = per[static_cast<size_t>(k)].total_rate();
-        if (rate_kj <= kRateEpsilon) continue;
-        interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
-      }
-    }
-    const double chi =
-        interfering / rate_ij + wi.overlap_with(static_cast<size_t>(i));
-
-    const double mu_ij = PerObjectUtilization(tgt, wij, chi);
+    const double mu_ij = ObjectTerm(tgt, workloads, rate.data(), i,
+                                    std::max(0.0, layout.At(i, j)));
     if (mu_i != nullptr) (*mu_i)[static_cast<size_t>(i)] = mu_ij;
     mu_j += mu_ij;
   }
@@ -139,8 +151,10 @@ double TargetModel::PerObjectUtilization(const TargetModelInfo& tgt,
                                 chi) *
            involved / k;
   };
-  return wij.read_rate * member_cost(false, wij.read_size) +
-         wij.write_rate * member_cost(true, wij.write_size);
+  // One explicit fused multiply-add: the rounding then cannot depend on
+  // how the compiler contracts the sum at each inlined call site.
+  const double read = wij.read_rate * member_cost(false, wij.read_size);
+  return std::fma(wij.write_rate, member_cost(true, wij.write_size), read);
 }
 
 double TargetModel::TargetUtilization(const WorkloadSet& workloads,
@@ -567,6 +581,126 @@ std::unique_ptr<ColumnEvaluator> TargetModel::MakeColumnEvaluator(
   LDB_CHECK_GE(j, 0);
   LDB_CHECK_LT(j, num_targets());
   return std::make_unique<TargetColumnContext>(this, &workloads, j);
+}
+
+ColumnTerms::ColumnTerms(const TargetModel* model, const WorkloadSet* workloads,
+                         const Layout& layout)
+    : model_(model), workloads_(workloads), n_(workloads->size()) {
+  LDB_CHECK_EQ(static_cast<size_t>(layout.num_objects()), n_);
+  LDB_CHECK_EQ(layout.num_targets(), model_->num_targets());
+
+  // Reverse overlap index: the transpose of the rows ObjectTerm iterates
+  // (sparse rows when present, else the dense row's nonzero entries).
+  const auto for_each_neighbor = [this](size_t k, auto&& visit) {
+    const WorkloadDesc& wk = (*workloads_)[k];
+    if (wk.has_sparse_overlap()) {
+      for (int32_t i : wk.overlap_index) {
+        if (static_cast<size_t>(i) != k) visit(static_cast<size_t>(i));
+      }
+    } else {
+      for (size_t i = 0; i < wk.overlap.size(); ++i) {
+        if (i != k && wk.overlap[i] != 0.0) visit(i);
+      }
+    }
+  };
+  dep_begin_.assign(n_ + 1, 0);
+  for (size_t k = 0; k < n_; ++k) {
+    for_each_neighbor(k, [this](size_t i) { ++dep_begin_[i + 1]; });
+  }
+  size_t widest = 0;
+  for (size_t i = 0; i < n_; ++i) {
+    widest = std::max(widest, dep_begin_[i + 1]);
+    dep_begin_[i + 1] += dep_begin_[i];
+  }
+  dep_.resize(dep_begin_[n_]);
+  std::vector<size_t> next(dep_begin_.begin(), dep_begin_.end() - 1);
+  for (size_t k = 0; k < n_; ++k) {
+    for_each_neighbor(k, [&](size_t i) {
+      dep_[next[i]++] = static_cast<int32_t>(k);
+    });
+  }
+  undo_.resize(widest + 1);
+
+  const size_t m = static_cast<size_t>(layout.num_targets());
+  fraction_.resize(m * n_);
+  rate_.resize(m * n_);
+  term_.resize(m * n_);
+  mu_.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    const size_t col = j * n_;
+    for (size_t i = 0; i < n_; ++i) {
+      const double f = std::max(
+          0.0, layout.At(static_cast<int>(i), static_cast<int>(j)));
+      fraction_[col + i] = f;
+      rate_[col + i] =
+          model_->layout_model().Transform((*workloads_)[i], f).total_rate();
+    }
+    const TargetModelInfo& tgt = model_->target_info(static_cast<int>(j));
+    double mu_j = 0.0;
+    for (size_t i = 0; i < n_; ++i) {
+      term_[col + i] =
+          model_->ObjectTerm(tgt, *workloads_, &rate_[col],
+                             static_cast<int>(i), fraction_[col + i]);
+      mu_j += term_[col + i];
+    }
+    mu_[j] = mu_j;
+  }
+}
+
+double ColumnTerms::Set(int j, int i, double fraction, bool undo) {
+  const size_t col = static_cast<size_t>(j) * n_;
+  const size_t ui = static_cast<size_t>(i);
+  const double* f = &fraction_[col];
+  const double* rate = &rate_[col];
+  double* term = &term_[col];
+  fraction_[col + ui] = std::max(0.0, fraction);
+  rate_[col + ui] = model_->layout_model()
+                        .Transform((*workloads_)[ui], f[ui])
+                        .total_rate();
+
+  const TargetModelInfo& tgt = model_->target_info(j);
+  const size_t first = dep_begin_[ui];
+  const size_t last = dep_begin_[ui + 1];
+  if (undo) {
+    undo_[0] = term[ui];
+    for (size_t s = first; s < last; ++s) {
+      undo_[1 + s - first] = term[static_cast<size_t>(dep_[s])];
+    }
+  }
+  term[ui] = model_->ObjectTerm(tgt, *workloads_, rate, i, f[ui]);
+  for (size_t s = first; s < last; ++s) {
+    const size_t k = static_cast<size_t>(dep_[s]);
+    term[k] = model_->ObjectTerm(tgt, *workloads_, rate, dep_[s], f[k]);
+  }
+  double mu_j = 0.0;
+  for (size_t k = 0; k < n_; ++k) mu_j += term[k];
+  return mu_j;
+}
+
+double ColumnTerms::Trial(int j, int i, double fraction) {
+  const size_t col = static_cast<size_t>(j) * n_;
+  const size_t ui = static_cast<size_t>(i);
+  if (std::max(0.0, fraction) == fraction_[col + ui]) {
+    return mu_[static_cast<size_t>(j)];
+  }
+  const double saved_fraction = fraction_[col + ui];
+  const double saved_rate = rate_[col + ui];
+  const double mu_j = Set(j, i, fraction, /*undo=*/true);
+  fraction_[col + ui] = saved_fraction;
+  rate_[col + ui] = saved_rate;
+  term_[col + ui] = undo_[0];
+  for (size_t s = dep_begin_[ui]; s < dep_begin_[ui + 1]; ++s) {
+    term_[col + static_cast<size_t>(dep_[s])] = undo_[1 + s - dep_begin_[ui]];
+  }
+  return mu_j;
+}
+
+double ColumnTerms::Reprice(int j, int i, double fraction) {
+  const size_t col = static_cast<size_t>(j) * n_;
+  if (std::max(0.0, fraction) != fraction_[col + static_cast<size_t>(i)]) {
+    mu_[static_cast<size_t>(j)] = Set(j, i, fraction, /*undo=*/false);
+  }
+  return mu_[static_cast<size_t>(j)];
 }
 
 }  // namespace ldb

@@ -1,6 +1,7 @@
 #ifndef LAYOUTDB_MODEL_TARGET_MODEL_H_
 #define LAYOUTDB_MODEL_TARGET_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,8 @@ struct TargetModelInfo {
   /// the parity read-modify-write to each written row.
   RaidLevel raid_level = RaidLevel::kRaid0;
 };
+
+class ColumnTerms;
 
 /// The storage-system performance model of paper Section 5.2 (Figure 6):
 /// applies the layout model to every (object, target) pair, computes the
@@ -78,11 +81,20 @@ class TargetModel {
       const WorkloadSet& workloads, int j) const;
 
  private:
+  friend class ColumnTerms;
+
   /// µ_ij of one already-transformed per-target workload under contention
   /// factor `chi` (the Eq. 1 term, including the RAID member-cost
   /// accounting).
   double PerObjectUtilization(const TargetModelInfo& target,
                               const PerTargetWorkload& wij, double chi) const;
+
+  /// µ_ij of object i, placed on `target` with `fraction` of its data,
+  /// given every object's request rate `rate` there (χ_ij of Eq. 2 from
+  /// the co-located rates, then Eq. 1); 0 when the object is absent. The
+  /// one per-object term both TargetUtilization and ColumnTerms add.
+  double ObjectTerm(const TargetModelInfo& target, const WorkloadSet& workloads,
+                    const double* rate, int i, double fraction) const;
 
   /// Shared implementation: µ_j for one target, optionally with the
   /// per-object contributions µ_ij (mu_i sized N on return).
@@ -92,6 +104,61 @@ class TargetModel {
 
   std::vector<TargetModelInfo> targets_;
   LvmLayoutModel layout_model_;
+};
+
+/// Per-object terms of every column of one layout, for pricing single-row
+/// changes without re-evaluating whole columns (the regularizer's candidate
+/// search). Column j caches L_ij, the request rate of W_ij and µ_ij for
+/// every object. Changing L_ij alters only µ_ij and the µ_kj of the objects
+/// k whose overlap row names i (the reverse-overlap dependents: the CSR
+/// transpose of the sparse rows, the nonzero entries of dense ones). Every
+/// other term keeps its value: a zero overlap entry adds +0.0 to k's
+/// interference. µ_j is the index-order sum of the terms — the terms and
+/// the order TargetUtilization adds — so every value equals
+/// TargetUtilization on the same layout bit for bit.
+class ColumnTerms {
+ public:
+  /// Prices every column of `layout`. `model` and `workloads` must outlive
+  /// the cache.
+  ColumnTerms(const TargetModel* model, const WorkloadSet* workloads,
+              const Layout& layout);
+
+  /// µ_j of the cached layout.
+  double mu(int j) const { return mu_[static_cast<size_t>(j)]; }
+
+  /// µ_ij of the cached layout.
+  double term(int j, int i) const {
+    return term_[static_cast<size_t>(j) * n_ + static_cast<size_t>(i)];
+  }
+
+  /// µ_j with L_ij set to `fraction`; the cache is left unchanged.
+  double Trial(int j, int i, double fraction);
+
+  /// Sets L_ij to `fraction` in the cache and returns the new µ_j.
+  double Reprice(int j, int i, double fraction);
+
+ private:
+  /// Sets L_ij = `fraction` and reprices object i and its dependents,
+  /// logging the replaced terms to `undo_` first when `undo` is set.
+  /// Returns the new µ_j.
+  double Set(int j, int i, double fraction, bool undo);
+
+  const TargetModel* model_;
+  const WorkloadSet* workloads_;
+  size_t n_;
+  // Reverse overlap index (CSR): dep_[dep_begin_[i] .. dep_begin_[i+1])
+  // lists, ascending, the objects k != i whose overlap row names i.
+  std::vector<size_t> dep_begin_;
+  std::vector<int32_t> dep_;
+  // Column-major M x N: the clamped fraction, request rate and µ_ij of
+  // every cell.
+  std::vector<double> fraction_;
+  std::vector<double> rate_;
+  std::vector<double> term_;
+  std::vector<double> mu_;
+  // Trial's undo log of replaced terms (sized for the largest dependent
+  // list up front, so no trial allocates).
+  std::vector<double> undo_;
 };
 
 }  // namespace ldb

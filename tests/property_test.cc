@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +13,7 @@
 
 #include "core/harness.h"
 #include "core/incremental.h"
+#include "core/regularize.h"
 #include "core/problem.h"
 #include "core/replan.h"
 #include "model/cost_model.h"
@@ -311,6 +313,14 @@ struct SyntheticWorkload {
   int run_length;     // requests per sequential run
   double write_frac;  // fraction of writes
 };
+
+/// Prints a shape as its parameters ("200rps-8KiB-run1-w0"), so the
+/// parameterised case names are stable; gtest's default byte dump includes
+/// the struct's uninitialised padding.
+void PrintTo(const SyntheticWorkload& spec, std::ostream* os) {
+  *os << spec.rate << "rps-" << spec.size / kKiB << "KiB-run"
+      << spec.run_length << "-w" << spec.write_frac;
+}
 
 class AnalyzerRoundTrip
     : public ::testing::TestWithParam<SyntheticWorkload> {};
@@ -617,6 +627,577 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplanProperty,
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalProperty,
                          ::testing::Values(uint64_t{21}, uint64_t{22},
                                            uint64_t{23}));
+
+// ------------------------------------------ incremental candidate pricing
+
+// A problem for the regularizer's candidate search: sparse tenant overlap
+// rows or dense rows with scattered nonzeros, mixed RAID0 member counts,
+// capacities tight enough that some candidates overflow a target, and
+// (optionally) allowed-target and separation constraints.
+LayoutProblem PricingProblem(Rng& rng, int n, int m, bool sparse,
+                             bool constrained) {
+  LayoutProblem p;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    p.object_names.push_back(StrFormat("obj%d", i));
+    p.object_sizes.push_back(
+        static_cast<int64_t>(1 + rng.UniformInt(uint64_t{4})) * kGiB);
+    total += p.object_sizes.back();
+    p.object_kinds.push_back(ObjectKind::kTable);
+    WorkloadDesc w;
+    w.read_rate = rng.Uniform(1, 200);
+    w.read_size = rng.Bernoulli(0.5) ? 8 * kKiB : 256 * kKiB;
+    if (rng.Bernoulli(0.4)) {
+      w.write_rate = rng.Uniform(1, 50);
+      w.write_size = 8 * kKiB;
+    }
+    w.run_count = rng.Bernoulli(0.5) ? 1.0 : 32.0;
+    if (sparse) {
+      const int lo = i / 4 * 4;
+      for (int k = lo; k < std::min(n, lo + 4); ++k) {
+        w.overlap_index.push_back(k);
+        w.overlap_value.push_back(k == i ? rng.Uniform(0.0, 1.5)
+                                         : rng.Uniform(0.05, 0.6));
+      }
+    } else {
+      w.overlap.assign(static_cast<size_t>(n), 0.0);
+      for (int k = 0; k < n; ++k) {
+        if (k == i || rng.Bernoulli(0.5)) {
+          w.overlap[static_cast<size_t>(k)] = rng.Uniform(0.0, 0.8);
+        }
+      }
+    }
+    p.workloads.push_back(std::move(w));
+  }
+  for (int j = 0; j < m; ++j) {
+    p.targets.push_back(AdvisorTarget{
+        StrFormat("t%d", j), total * 2 / m + kGiB, &PropertyCost(),
+        1 + static_cast<int>(rng.UniformInt(uint64_t{3})), 64 * kKiB});
+  }
+  if (constrained) {
+    p.constraints.allowed_targets.assign(static_cast<size_t>(n), {});
+    for (int i = 0; i < n; ++i) {
+      if (!rng.Bernoulli(0.3)) continue;
+      std::vector<int>& allowed =
+          p.constraints.allowed_targets[static_cast<size_t>(i)];
+      for (int j = 0; j < m; ++j) {
+        if (rng.Bernoulli(0.6)) allowed.push_back(j);
+      }
+      if (allowed.size() < 2) allowed = {0, m - 1};
+    }
+    p.constraints.separate.emplace_back(0, n - 1);
+    p.constraints.separate.emplace_back(1, 2);
+  }
+  return p;
+}
+
+// A solver-like layout: fractional rows, some entries at or below the
+// regularizer's zero tolerance.
+Layout FractionalLayout(Rng& rng, int n, int m) {
+  Layout l(n, m);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row(static_cast<size_t>(m), 0.0);
+    for (int j = 0; j < m; ++j) {
+      const double u = rng.Uniform();
+      row[static_cast<size_t>(j)] = u < 0.3 ? 0.0 : u < 0.45 ? 5e-5 : u;
+    }
+    row[static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(m)))] +=
+        0.5;
+    const double sum = std::accumulate(row.begin(), row.end(), 0.0);
+    for (int j = 0; j < m; ++j) l.Set(i, j, row[static_cast<size_t>(j)] / sum);
+  }
+  return l;
+}
+
+// The candidate search as it was before incremental pricing: every
+// candidate copies the cache, runs SatisfiesCapacity on the trial layout
+// and reprices each touched column from scratch with TargetUtilization.
+struct NaiveChoice {
+  bool found = false;
+  double objective = 0.0;
+  std::vector<int> targets;
+  std::vector<double> mu;
+};
+
+NaiveChoice NaiveBestRow(const LayoutProblem& problem,
+                         const TargetModel& model,
+                         const RegularizerOptions& options, Layout* current,
+                         int i, const std::vector<double>& mu) {
+  const int m = problem.num_targets();
+  std::vector<bool> was_nonzero(static_cast<size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    was_nonzero[static_cast<size_t>(j)] =
+        current->At(i, j) > options.zero_tolerance;
+  }
+  std::vector<int> universe;
+  if (!problem.constraints.empty() &&
+      !problem.constraints.AllowedFor(i).empty()) {
+    universe = problem.constraints.AllowedFor(i);
+  } else {
+    universe.resize(static_cast<size_t>(m));
+    std::iota(universe.begin(), universe.end(), 0);
+  }
+  std::vector<int> by_fraction = universe;
+  std::stable_sort(by_fraction.begin(), by_fraction.end(), [&](int a, int b) {
+    return current->At(i, a) > current->At(i, b);
+  });
+  std::vector<int> by_load = universe;
+  std::stable_sort(by_load.begin(), by_load.end(), [&](int a, int b) {
+    return EffectiveTargetUtilization(options, mu[static_cast<size_t>(a)],
+                                      a) <
+           EffectiveTargetUtilization(options, mu[static_cast<size_t>(b)], b);
+  });
+  std::vector<std::vector<int>> candidates;
+  for (size_t k = 1; k <= universe.size(); ++k) {
+    candidates.emplace_back(by_fraction.begin(),
+                            by_fraction.begin() + static_cast<long>(k));
+    if (options.balancing_candidates) {
+      candidates.emplace_back(by_load.begin(),
+                              by_load.begin() + static_cast<long>(k));
+    }
+  }
+  const std::vector<double> saved_row(current->Row(i), current->Row(i) + m);
+  NaiveChoice best;
+  for (const std::vector<int>& targets : candidates) {
+    bool ok = true;
+    for (const auto& [a, b] : problem.constraints.separate) {
+      const int partner = a == i ? b : (b == i ? a : -1);
+      if (partner < 0) continue;
+      for (int j : targets) {
+        if (current->At(partner, j) > options.zero_tolerance) ok = false;
+      }
+    }
+    if (!ok) continue;
+    current->SetRowRegular(i, targets);
+    if (!current->SatisfiesCapacity(problem.object_sizes,
+                                    problem.capacities())) {
+      continue;
+    }
+    std::vector<double> trial_mu = mu;
+    double objective = 0.0;
+    for (int j = 0; j < m; ++j) {
+      if (was_nonzero[static_cast<size_t>(j)] || current->At(i, j) > 0.0) {
+        trial_mu[static_cast<size_t>(j)] =
+            model.TargetUtilization(problem.workloads, *current, j);
+      }
+      objective = std::max(
+          objective, EffectiveTargetUtilization(
+                         options, trial_mu[static_cast<size_t>(j)], j));
+    }
+    if (!best.found || objective < best.objective) {
+      best.found = true;
+      best.objective = objective;
+      best.targets = targets;
+      best.mu = std::move(trial_mu);
+    }
+  }
+  std::copy(saved_row.begin(), saved_row.end(), current->Row(i));
+  return best;
+}
+
+std::vector<double> ScalarColumns(const LayoutProblem& p,
+                                  const TargetModel& model,
+                                  const Layout& layout) {
+  std::vector<double> mu(static_cast<size_t>(p.num_targets()));
+  for (int j = 0; j < p.num_targets(); ++j) {
+    mu[static_cast<size_t>(j)] =
+        model.TargetUtilization(p.workloads, layout, j);
+  }
+  return mu;
+}
+
+// The naive regularizer: greedy pass plus refinement sweeps.
+Result<Layout> NaiveRegularize(const LayoutProblem& p,
+                               const TargetModel& model,
+                               const RegularizerOptions& options,
+                               const Layout& solver_layout) {
+  const int n = p.num_objects();
+  const int m = p.num_targets();
+  std::vector<double> mu_ij;
+  model.Utilizations(p.workloads, solver_layout, &mu_ij);
+  std::vector<double> load(static_cast<size_t>(n), 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      load[static_cast<size_t>(i)] +=
+          mu_ij[static_cast<size_t>(i * m + j)];
+    }
+  }
+  std::vector<int> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return load[static_cast<size_t>(a)] > load[static_cast<size_t>(b)];
+  });
+  Layout current = solver_layout;
+  std::vector<double> mu = ScalarColumns(p, model, current);
+  for (int i : order) {
+    NaiveChoice c = NaiveBestRow(p, model, options, &current, i, mu);
+    if (!c.found) return Status::Infeasible("no candidate");
+    current.SetRowRegular(i, c.targets);
+    mu = std::move(c.mu);
+  }
+  for (int pass = 0; pass < options.refinement_passes; ++pass) {
+    bool improved = false;
+    for (int i : order) {
+      const double incumbent = EffectiveMaxUtilization(options, mu);
+      NaiveChoice c = NaiveBestRow(p, model, options, &current, i, mu);
+      if (c.found && c.objective < incumbent - 1e-12 &&
+          current.TargetsOf(i) != c.targets) {
+        current.SetRowRegular(i, c.targets);
+        mu = std::move(c.mu);
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  return current;
+}
+
+// The naive failure re-layout: displaced rows re-enter by rate, movable
+// rows refine, and the solver polish is re-regularized and kept on strict
+// improvement.
+struct NaiveReplan {
+  Layout layout;
+  double max_utilization;
+};
+
+Result<NaiveReplan> NaiveReplanAfterFailure(const LayoutProblem& problem,
+                                            const Layout& current,
+                                            const TargetHealth& health,
+                                            const ReplanOptions& options) {
+  const int n = problem.num_objects();
+  const int m = problem.num_targets();
+  const TargetModel model = problem.MakeTargetModel();
+  const double tol = options.regularize.zero_tolerance;
+  LayoutProblem degraded = problem;
+  std::vector<std::vector<int>> allowed(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const std::vector<int>& base = problem.constraints.AllowedFor(i);
+    for (int j = 0; j < m; ++j) {
+      if (health.IsFailed(j)) continue;
+      if (!base.empty() &&
+          std::find(base.begin(), base.end(), j) == base.end()) {
+        continue;
+      }
+      allowed[static_cast<size_t>(i)].push_back(j);
+    }
+    if (allowed[static_cast<size_t>(i)].empty()) {
+      return Status::Infeasible("no surviving allowed target");
+    }
+  }
+  degraded.constraints.allowed_targets = std::move(allowed);
+  RegularizerOptions ropts = options.regularize;
+  ropts.target_derate = health.derate;
+  for (int j = 0; j < m; ++j) {
+    if (health.IsFailed(j)) ropts.target_derate[static_cast<size_t>(j)] = 0.0;
+  }
+  std::vector<int> displaced, movable;
+  for (int i = 0; i < n; ++i) {
+    bool on_failed = false;
+    bool on_derated = false;
+    for (int j = 0; j < m; ++j) {
+      if (current.At(i, j) <= tol) continue;
+      if (health.IsFailed(j)) {
+        on_failed = true;
+      } else if (health.derate[static_cast<size_t>(j)] < 1.0 - 1e-12) {
+        on_derated = true;
+      }
+    }
+    if (on_failed) displaced.push_back(i);
+    if (on_failed || on_derated) movable.push_back(i);
+  }
+  Layout layout = current;
+  for (int i : displaced) {
+    for (int j = 0; j < m; ++j) layout.Set(i, j, 0.0);
+  }
+  std::stable_sort(displaced.begin(), displaced.end(), [&](int a, int b) {
+    return problem.workloads[static_cast<size_t>(a)].total_rate() >
+           problem.workloads[static_cast<size_t>(b)].total_rate();
+  });
+  std::vector<double> mu = ScalarColumns(degraded, model, layout);
+  for (int i : displaced) {
+    NaiveChoice c = NaiveBestRow(degraded, model, ropts, &layout, i, mu);
+    if (!c.found) return Status::Infeasible("no surviving placement");
+    layout.SetRowRegular(i, c.targets);
+    mu = std::move(c.mu);
+  }
+  for (int pass = 0; pass < ropts.refinement_passes; ++pass) {
+    bool improved = false;
+    for (int i : movable) {
+      const double incumbent = EffectiveMaxUtilization(ropts, mu);
+      NaiveChoice c = NaiveBestRow(degraded, model, ropts, &layout, i, mu);
+      if (c.found && c.objective < incumbent - options.improvement_epsilon &&
+          layout.TargetsOf(i) != c.targets) {
+        layout.SetRowRegular(i, c.targets);
+        mu = std::move(c.mu);
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  if (options.solver_polish && !displaced.empty() &&
+      displaced.size() < static_cast<size_t>(n)) {
+    LayoutNlpProblem nlp = degraded.MakeNlp(&model);
+    nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
+    for (int i : displaced) nlp.frozen_rows[static_cast<size_t>(i)] = 0;
+    auto column = nlp.make_column_eval;
+    nlp.make_column_eval = [column, derate = ropts.target_derate](int j) {
+      return DerateColumnEvaluator(column(j),
+                                   derate[static_cast<size_t>(j)]);
+    };
+    nlp.target_utilization = nullptr;
+    ProjectedGradientSolver solver(options.solver);
+    Result<SolverResult> polished = solver.Solve(nlp, layout);
+    if (polished.ok()) {
+      Layout candidate = polished->layout;
+      std::vector<double> cmu = ScalarColumns(degraded, model, candidate);
+      bool regularized = true;
+      for (int i : displaced) {
+        NaiveChoice c =
+            NaiveBestRow(degraded, model, ropts, &candidate, i, cmu);
+        if (!c.found) {
+          regularized = false;
+          break;
+        }
+        candidate.SetRowRegular(i, c.targets);
+        cmu = std::move(c.mu);
+      }
+      if (regularized &&
+          EffectiveMaxUtilization(ropts, cmu) <
+              EffectiveMaxUtilization(ropts, mu) -
+                  options.improvement_epsilon &&
+          candidate.SatisfiesCapacity(problem.object_sizes,
+                                      problem.capacities()) &&
+          degraded.constraints.SatisfiedBy(candidate)) {
+        layout = std::move(candidate);
+        mu = std::move(cmu);
+      }
+    }
+  }
+  return NaiveReplan{layout, EffectiveMaxUtilization(ropts, mu)};
+}
+
+class PricingProperty : public ::testing::TestWithParam<uint64_t> {};
+
+// Every trial and every committed reprice equals TargetUtilization on the
+// same layout bit for bit, for sparse and dense overlap rows.
+TEST_P(PricingProperty, ColumnTermsMatchScalarUtilizationExactly) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    const bool sparse = trial % 2 == 0;
+    const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{12}));
+    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{5}));
+    const LayoutProblem p = PricingProblem(rng, n, m, sparse, false);
+    const TargetModel model = p.MakeTargetModel();
+    Layout layout = FractionalLayout(rng, n, m);
+    ColumnTerms terms(&model, &p.workloads, layout);
+    for (int j = 0; j < m; ++j) {
+      EXPECT_EQ(terms.mu(j), model.TargetUtilization(p.workloads, layout, j));
+    }
+    // Every regular candidate row of every object, priced on every column.
+    for (int i = 0; i < n; ++i) {
+      std::vector<int> perm(static_cast<size_t>(m));
+      std::iota(perm.begin(), perm.end(), 0);
+      for (int k = m - 1; k > 0; --k) {
+        std::swap(perm[static_cast<size_t>(k)],
+                  perm[rng.UniformInt(uint64_t(k + 1))]);
+      }
+      for (int k = 1; k <= m; ++k) {
+        Layout trial_layout = layout;
+        trial_layout.SetRowRegular(
+            i, std::vector<int>(perm.begin(), perm.begin() + k));
+        for (int j = 0; j < m; ++j) {
+          EXPECT_EQ(terms.Trial(j, i, trial_layout.At(i, j)),
+                    model.TargetUtilization(p.workloads, trial_layout, j))
+              << "object " << i << " column " << j << " k " << k;
+        }
+      }
+    }
+    // Committed single-cell changes persist exactly.
+    for (int step = 0; step < 3 * n; ++step) {
+      const int i = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
+      const int j = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(m)));
+      const double f = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform();
+      layout.Set(i, j, f);
+      EXPECT_EQ(terms.Reprice(j, i, f),
+                model.TargetUtilization(p.workloads, layout, j));
+    }
+    for (int j = 0; j < m; ++j) {
+      EXPECT_EQ(terms.mu(j), model.TargetUtilization(p.workloads, layout, j));
+    }
+  }
+}
+
+// Step by step, the pricer's search picks what the naive loop picks, with
+// the same score and the same per-target cache.
+TEST_P(PricingProperty, BestRowMatchesNaiveSearchAtEveryStep) {
+  Rng rng(GetParam() + 50);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{12}));
+    const int m = 3 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    const LayoutProblem p =
+        PricingProblem(rng, n, m, trial % 2 == 0, trial % 4 < 2);
+    const TargetModel model = p.MakeTargetModel();
+    RegularizerOptions options;
+    options.balancing_candidates = trial != 5;
+    if (trial % 3 != 0) {
+      options.target_derate.assign(static_cast<size_t>(m), 1.0);
+      options.target_derate[0] = 0.0;  // failed
+      options.target_derate[static_cast<size_t>(m - 1)] = 0.6;
+    }
+    Layout layout = FractionalLayout(rng, n, m);
+    RegularRowPricer pricer(&p, &model, options, layout);
+    std::vector<double> mu = ScalarColumns(p, model, layout);
+    EXPECT_EQ(pricer.mu(), mu);
+    for (int step = 0; step < 3 * n; ++step) {
+      const int i = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
+      const NaiveChoice naive = NaiveBestRow(p, model, options, &layout, i, mu);
+      const RegularCandidateChoice choice = pricer.Best(i);
+      ASSERT_EQ(choice.found, naive.found) << "step " << step;
+      if (!naive.found) continue;
+      EXPECT_EQ(choice.objective, naive.objective) << "step " << step;
+      ASSERT_EQ(choice.targets, naive.targets) << "step " << step;
+      layout.SetRowRegular(i, naive.targets);
+      mu = naive.mu;
+      pricer.Apply(i, choice.targets);
+      ASSERT_EQ(pricer.layout(), layout) << "step " << step;
+      ASSERT_EQ(pricer.mu(), mu) << "step " << step;
+    }
+  }
+}
+
+TEST_P(PricingProperty, RegularizeMatchesNaiveLoop) {
+  Rng rng(GetParam() + 100);
+  int compared = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{16}));
+    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    const LayoutProblem p =
+        PricingProblem(rng, n, m, trial % 2 == 0, trial % 4 >= 2);
+    const TargetModel model = p.MakeTargetModel();
+    RegularizerOptions options;
+    if (trial % 3 == 1) {
+      options.target_derate.assign(static_cast<size_t>(m), 1.0);
+      options.target_derate[static_cast<size_t>(m - 1)] = 0.5;
+    }
+    const Layout solver_layout = FractionalLayout(rng, n, m);
+    const Result<Layout> got =
+        Regularizer(&p, &model, options).Regularize(solver_layout);
+    const Result<Layout> want =
+        NaiveRegularize(p, model, options, solver_layout);
+    ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+    if (!want.ok()) continue;
+    EXPECT_EQ(*got, *want) << "trial " << trial;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST_P(PricingProperty, ReplanMatchesNaiveLoop) {
+  Rng rng(GetParam() + 200);
+  int compared = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{12}));
+    const int m = 3 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    LayoutProblem p = PricingProblem(rng, n, m, trial % 2 == 0, false);
+    const Layout current = RandomRegularLayout(rng, n, m);
+    if (trial % 4 >= 2) {
+      // Constraints the current layout satisfies: each object may use its
+      // targets plus one more, and the first two objects with disjoint
+      // targets are separated.
+      p.constraints.allowed_targets.assign(static_cast<size_t>(n), {});
+      for (int i = 0; i < n; ++i) {
+        std::vector<int> allowed = current.TargetsOf(i);
+        const int extra =
+            static_cast<int>(rng.UniformInt(static_cast<uint64_t>(m)));
+        if (std::find(allowed.begin(), allowed.end(), extra) ==
+            allowed.end()) {
+          allowed.push_back(extra);
+        }
+        std::sort(allowed.begin(), allowed.end());
+        p.constraints.allowed_targets[static_cast<size_t>(i)] = allowed;
+      }
+      for (int a = 0; a < n && p.constraints.separate.empty(); ++a) {
+        for (int b = a + 1; b < n; ++b) {
+          bool disjoint = true;
+          for (int j = 0; j < m; ++j) {
+            if (current.At(a, j) > 0.0 && current.At(b, j) > 0.0) {
+              disjoint = false;
+            }
+          }
+          if (disjoint) {
+            p.constraints.separate.emplace_back(a, b);
+            break;
+          }
+        }
+      }
+    }
+    TargetHealth health = TargetHealth::Healthy(m);
+    health.MarkFailed(static_cast<int>(
+        rng.UniformInt(static_cast<uint64_t>(m))));
+    for (int j = 0; j < m; ++j) {
+      if (!health.IsFailed(j) && rng.Bernoulli(0.3)) {
+        health.Derate(j, rng.Uniform(0.3, 0.9));
+      }
+    }
+    ReplanOptions options;
+    options.solver_polish = trial % 4 != 3;
+    const auto got = ReplanAfterFailure(p, current, health, options);
+    const auto want = NaiveReplanAfterFailure(p, current, health, options);
+    ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+    if (!want.ok()) continue;
+    EXPECT_EQ(got->layout, want->layout) << "trial " << trial;
+    EXPECT_EQ(got->max_utilization, want->max_utilization);
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST_P(PricingProperty, PlaceIncrementallyMatchesNaiveLoop) {
+  Rng rng(GetParam() + 300);
+  int compared = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{12}));
+    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{5}));
+    const LayoutProblem p =
+        PricingProblem(rng, n, m, trial % 2 == 0, trial % 4 >= 2);
+    const TargetModel model = p.MakeTargetModel();
+    Layout current = RandomRegularLayout(rng, n, m);
+    std::vector<int> to_place;
+    for (int i = 0; i < n; ++i) {
+      if (!rng.Bernoulli(0.5) && i != n / 2) continue;
+      for (int j = 0; j < m; ++j) current.Set(i, j, 0.0);
+      to_place.push_back(i);
+    }
+    if (!current.SatisfiesCapacity(p.object_sizes, p.capacities())) continue;
+    std::stable_sort(to_place.begin(), to_place.end(), [&](int a, int b) {
+      return p.workloads[static_cast<size_t>(a)].total_rate() >
+             p.workloads[static_cast<size_t>(b)].total_rate();
+    });
+    const RegularizerOptions options;
+    Layout want = current;
+    std::vector<double> mu = ScalarColumns(p, model, want);
+    bool placed = true;
+    for (int i : to_place) {
+      NaiveChoice c = NaiveBestRow(p, model, options, &want, i, mu);
+      if (!c.found) {
+        placed = false;
+        break;
+      }
+      want.SetRowRegular(i, c.targets);
+      mu = std::move(c.mu);
+    }
+    const Result<Layout> got = PlaceIncrementally(p, current);
+    ASSERT_EQ(got.ok(), placed) << got.status().ToString();
+    if (!placed) continue;
+    EXPECT_EQ(*got, want) << "trial " << trial;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PricingProperty,
+                         ::testing::Values(uint64_t{31}, uint64_t{32},
+                                           uint64_t{33}, uint64_t{34}));
 
 // ------------------------------------------- analytic utilization gradient
 
