@@ -7,9 +7,9 @@
 // the consolidation workload (N=80/120/160) on M=10 (59s/380s/662s).
 // Shapes to reproduce: seconds-to-minutes totals at these scales, time
 // growing with both N and M, and solver time dominating regularization.
-// The bench checks only that totals grow across the replicated rows; the
-// regularization/solver time ratio is printed per row as data (a timing
-// ratio, so it is not gated; with incremental candidate pricing the
+// Whether totals grow across the replicated rows and the
+// regularization/solver time ratio per row are printed as data (wall-time
+// orderings, so they are not gated; with incremental candidate pricing the
 // regularizer takes a fraction of the solve in every row, as in the
 // paper).
 //
@@ -226,9 +226,9 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
-      "Totals grow across the replicated rows (2x/3x/4x consolidation) "
+      "Totals grow across the replicated rows (2x/3x/4x consolidation): "
       "%s\n",
-      monotone ? "[ok]" : "[check rows]");
+      monotone ? "yes" : "no");
   std::printf(
       "Regularization outlasts the solve in %d of %d rows (the paper has "
       "the solver dominating; see the Reg/solve column)\n",

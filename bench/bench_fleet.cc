@@ -1,40 +1,35 @@
-// Fleet-scale advisor benchmark: the hierarchical FleetSolver against the
-// flat projected-gradient solver as the problem grows to O(10k) objects on
-// O(100) targets — the scale where the flat NLP's dense interference rows
-// stop fitting in cache (a dense overlap matrix at N=10k is 800 MB) and
-// its per-iteration cost collapses.
+// Fleet-scale sweep of the flat advisor solve: the projected-gradient
+// solver from the initial layout as the problem grows to O(10k) objects on
+// O(100) targets. Sparse CSR overlap rows keep every column evaluation
+// O(nnz), so no row needs a dense N x N overlap matrix (800 MB at N=10k).
 //
 // Workloads are synthetic multi-tenant fleets built directly in the sparse
 // CSR overlap form: objects cluster into tenants of ~8 that co-access each
 // other heavily, plus a few weak cross-tenant links, with heavy-tailed
-// request rates. That is the regime the sharded solve exploits — the
-// co-access graph is nearly block-diagonal, so clustering recovers the
-// tenants and the disjoint-target decomposition is near-exact.
+// request rates. Rates are scaled by 0.9 * M / N so the offered load per
+// target is the same at every row and the solved layouts stay inside the
+// calibrated contention grid (at N/M = 10 this is perfbench fleet_replan's
+// rate scale, ~29% max utilization).
 //
-// Reported per row: shard count, fleet solve time (split into cluster /
-// shard-solve / coordination phases), flat solve time, final max
-// utilizations, and the quality ratio fleet/flat. The flat solver is
-// skipped above --flat-cutoff objects (default 1200), where it takes
-// minutes. Rows with N <= 1000 additionally check that the fleet result is
-// bit-identical across solver thread counts {1, 2}; any mismatch or an
-// infeasible fleet layout fails the binary.
+// Reported per row: N, M, solve seconds, max utilization and capacity
+// feasibility. Rows with N <= 1000 also re-solve at solver threads {1, 2}
+// and check that the layout and max utilization are bit-identical. Gate:
+// every row feasible with max utilization < 1, and every checked row
+// thread-invariant; a miss fails the binary.
 //
 // Flags beyond the common bench set:
 //   --row=<substr>     run only rows whose name (e.g. "n4000m100")
 //                      contains <substr>
-//   --flat-cutoff=<n>  largest N for which the flat solver runs
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/fleet.h"
 #include "core/initial.h"
 #include "model/calibration.h"
 #include "solver/projected_gradient.h"
@@ -48,16 +43,11 @@ using namespace ldb::bench;
 
 namespace {
 
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Synthetic multi-tenant fleet problem with sparse-only overlap rows.
 LayoutProblem MakeFleetProblem(int n, int m, const CostModel* cost_model,
                                uint64_t seed) {
   constexpr int kTenantSize = 8;
+  const double rate_scale = 0.9 * m / n;
   Rng rng(MixSeed(seed, static_cast<uint64_t>(n) * 1000 +
                             static_cast<uint64_t>(m)));
   LayoutProblem p;
@@ -76,7 +66,7 @@ LayoutProblem MakeFleetProblem(int n, int m, const CostModel* cost_model,
     WorkloadDesc w;
     // Heavy-tailed rates: most objects are cool, a few dominate.
     const double heat = rng.Uniform();
-    w.read_rate = 2.0 + 400.0 * heat * heat * heat;
+    w.read_rate = rate_scale * (2.0 + 400.0 * heat * heat * heat);
     w.read_size = 64 * kKiB;
     w.write_rate = w.read_rate * rng.Uniform(0.0, 0.25);
     w.write_size = 64 * kKiB;
@@ -123,15 +113,10 @@ LayoutProblem MakeFleetProblem(int n, int m, const CostModel* cost_model,
 int main(int argc, char** argv) {
   const BenchEnv env = ParseBenchEnv(argc, argv);
   std::string row_filter;
-  int flat_cutoff = 1200;
   for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--row=", 6) == 0) {
-      row_filter = argv[a] + 6;
-    } else if (std::strncmp(argv[a], "--flat-cutoff=", 14) == 0) {
-      flat_cutoff = std::atoi(argv[a] + 14);
-    }
+    if (std::strncmp(argv[a], "--row=", 6) == 0) row_filter = argv[a] + 6;
   }
-  PrintHeader("Fleet", "hierarchical vs flat solve at fleet scale", env);
+  PrintHeader("Fleet", "flat solve at fleet scale (sparse CSR rows)", env);
 
   DiskModel disk(Scsi15kParams());
   auto cm = CalibrateDeviceCached(disk, RigCalibration(env));
@@ -148,15 +133,8 @@ int main(int argc, char** argv) {
   const Row rows[] = {{160, 10},  {1000, 10},  {1000, 40},
                       {4000, 40}, {4000, 100}, {10000, 100}};
 
-  FleetOptions fleet_opts;
-  fleet_opts.num_threads = env.num_threads;
-  fleet_opts.seed = env.seed;
-  SolverOptions flat_opts;
-  flat_opts.num_threads = env.num_threads;
-
-  TextTable table({"Row", "N", "M", "Shards", "Fleet (s)", "cluster",
-                   "shards", "coord", "Fleet max-u", "Flat (s)",
-                   "Flat max-u", "Quality", "Invariant"});
+  TextTable table(
+      {"Row", "N", "M", "Solve (s)", "Max-u", "Feasible", "Invariant"});
   JsonRows json;
   bool ok = true;
   for (const Row& row : rows) {
@@ -166,101 +144,68 @@ int main(int argc, char** argv) {
     }
     const LayoutProblem problem =
         MakeFleetProblem(row.n, row.m, &*cm, env.seed);
-
-    auto t0 = std::chrono::steady_clock::now();
-    const FleetSolver fleet(fleet_opts);
-    auto fr = fleet.Solve(problem);
-    const double fleet_seconds = SecondsSince(t0);
-    if (!fr.ok()) {
-      std::fprintf(stderr, "fleet solve (%s): %s\n", name.c_str(),
-                   fr.status().ToString().c_str());
+    const TargetModel model = problem.MakeTargetModel();
+    const LayoutNlpProblem nlp = problem.MakeNlp(&model);
+    auto init = InitialLayout(problem);
+    if (!init.ok()) {
+      std::fprintf(stderr, "initial layout (%s): %s\n", name.c_str(),
+                   init.status().ToString().c_str());
       return 1;
     }
-    if (!fr->feasible) {
-      std::fprintf(stderr, "fleet solve (%s): layout not feasible\n",
-                   name.c_str());
-      ok = false;
+    const auto solve = [&](int threads) {
+      SolverOptions options;
+      options.num_threads = threads;
+      return ProjectedGradientSolver(options).Solve(nlp, *init);
+    };
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto sr = solve(env.num_threads);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    if (!sr.ok()) {
+      std::fprintf(stderr, "flat solve (%s): %s\n", name.c_str(),
+                   sr.status().ToString().c_str());
+      return 1;
     }
+    const bool in_domain = sr->feasible && sr->max_utilization < 1.0;
 
     // Thread-count invariance on the small rows: exactly the same layout
     // at 1 and 2 solver threads.
-    bool invariance_checked = false;
+    const bool invariance_checked = row.n <= 1000;
     bool invariant = true;
-    if (row.n <= 1000) {
-      invariance_checked = true;
+    if (invariance_checked) {
       for (const int threads : {1, 2}) {
-        FleetOptions alt = fleet_opts;
-        alt.num_threads = threads;
-        auto ar = FleetSolver(alt).Solve(problem);
-        if (!ar.ok() || !(ar->layout == fr->layout) ||
-            ar->max_utilization != fr->max_utilization) {
+        auto alt = solve(threads);
+        if (!alt.ok() || !(alt->layout == sr->layout) ||
+            alt->max_utilization != sr->max_utilization) {
           invariant = false;
         }
       }
-      ok = ok && invariant;
     }
+    ok = ok && in_domain && invariant;
 
-    double flat_seconds = 0.0;
-    double flat_max = 0.0;
-    bool flat_ran = false;
-    if (row.n <= flat_cutoff) {
-      const TargetModel model = problem.MakeTargetModel();
-      const LayoutNlpProblem nlp = problem.MakeNlp(&model);
-      auto init = InitialLayout(problem);
-      if (init.ok()) {
-        t0 = std::chrono::steady_clock::now();
-        auto sr = ProjectedGradientSolver(flat_opts).Solve(nlp, *init);
-        flat_seconds = SecondsSince(t0);
-        if (sr.ok()) {
-          flat_ran = true;
-          flat_max = sr->max_utilization;
-        }
-      }
-    }
-    const double quality =
-        flat_ran && flat_max > 0.0 ? fr->max_utilization / flat_max : 0.0;
-
-    table.AddRow(
-        {name, StrFormat("%d", row.n), StrFormat("%d", row.m),
-         StrFormat("%zu", fr->shards.size()),
-         StrFormat("%.2f", fleet_seconds),
-         StrFormat("%.2f", fr->cluster_seconds),
-         StrFormat("%.2f", fr->shard_solve_seconds),
-         StrFormat("%.2f", fr->coordination_seconds),
-         StrFormat("%.4f", fr->max_utilization),
-         flat_ran ? StrFormat("%.2f", flat_seconds) : std::string("-"),
-         flat_ran ? StrFormat("%.4f", flat_max) : std::string("-"),
-         flat_ran ? StrFormat("%.3f", quality) : std::string("-"),
-         invariance_checked ? (invariant ? "yes" : "MISMATCH")
-                            : std::string("-")});
+    table.AddRow({name, StrFormat("%d", row.n), StrFormat("%d", row.m),
+                  StrFormat("%.2f", seconds),
+                  StrFormat("%.4f", sr->max_utilization),
+                  sr->feasible ? "yes" : "NO",
+                  invariance_checked ? (invariant ? "yes" : "MISMATCH")
+                                     : std::string("-")});
     if (env.json) {
       json.BeginRow();
       json.Field("row", name);
       json.Field("n", row.n);
       json.Field("m", row.m);
-      json.Field("shards", static_cast<int64_t>(fr->shards.size()));
-      json.Field("fleet_seconds", fleet_seconds);
-      json.Field("cluster_seconds", fr->cluster_seconds);
-      json.Field("shard_solve_seconds", fr->shard_solve_seconds);
-      json.Field("coordination_seconds", fr->coordination_seconds);
-      json.Field("fleet_max_utilization", fr->max_utilization);
-      json.Field("coordination_rounds", fr->coordination_rounds);
-      json.Field("accepted_moves", fr->accepted_moves);
-      json.Field("feasible", fr->feasible);
-      json.Field("flat_ran", flat_ran);
-      json.Field("flat_seconds", flat_seconds);
-      json.Field("flat_max_utilization", flat_max);
-      json.Field("quality_vs_flat", quality);
-      json.Field("thread_invariant", invariance_checked ? invariant : true);
+      json.Field("solve_seconds", seconds);
+      json.Field("max_utilization", sr->max_utilization);
+      json.Field("feasible", sr->feasible);
+      if (invariance_checked) json.Field("thread_invariant", invariant);
     }
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
-      "Quality = fleet max-u / flat max-u where both run (lower is better; "
-      "reported, not gated)\n");
-  std::printf(
-      "Gate: every fleet layout feasible; rows with N <= 1000 identical "
-      "across solver threads {1, 2} %s\n",
+      "Gate: every layout feasible with max-u < 1; rows with N <= 1000 "
+      "identical across solver threads {1, 2} %s\n",
       ok ? "[ok]" : "[FAIL]");
   if (env.json && !json.WriteTo(env.json_path)) {
     std::fprintf(stderr, "failed to write %s\n", env.json_path.c_str());

@@ -12,6 +12,7 @@
 #include "model/calibration.h"
 #include "model/cost_model.h"
 #include "model/target_model.h"
+#include "model/workload.h"
 #include "storage/disk.h"
 #include "storage/ssd.h"
 #include "solver/multistart.h"
@@ -130,11 +131,19 @@ struct ModelProblem {
   LayoutNlpProblem nlp;
 };
 
-ModelProblem MakeModelProblem(int n, int m, uint64_t seed) {
+/// `sparse_top_k` > 0 converts the overlap rows to CSR, keeping that many
+/// off-diagonal neighbors per object (the fleet-scale representation).
+ModelProblem MakeModelProblem(int n, int m, uint64_t seed,
+                              int sparse_top_k = 0) {
   ModelProblem mp;
   mp.cost = std::make_unique<CostModel>(MakeSyntheticCostModel());
   Rng rng(seed);
   mp.workloads = std::make_unique<WorkloadSet>(MakeWorkloads(n, &rng));
+  if (sparse_top_k > 0) {
+    SparsifyOptions sparsify;
+    sparsify.top_k = sparse_top_k;
+    SparsifyOverlap(mp.workloads.get(), sparsify);
+  }
   std::vector<TargetModelInfo> infos(
       static_cast<size_t>(m), TargetModelInfo{mp.cost.get(), 1, 64 * kKiB});
   mp.model =
@@ -167,47 +176,52 @@ TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
   // The gradient sweep fans one fused kernel pass per column over the
   // pool; entries land in disjoint dmu spans and all reductions are
   // serial, so the whole solve must be invariant in the thread count —
-  // layout, objective, and every effort counter.
+  // layout, objective, and every effort counter. Checked on dense overlap
+  // rows and on sparse CSR rows (3 neighbors per object), whose kernels
+  // walk stored entries only.
   const int n = 12, m = 6;
-  ModelProblem mp = MakeModelProblem(n, m, 17);
   const Layout seed = Layout::StripeEverythingEverywhere(n, m);
-
-  SolverResult reference;
-  bool have_reference = false;
-  for (int threads : {1, 2, 8}) {
-    SolverOptions o = FastOptions();
-    o.num_threads = threads;
-    ProjectedGradientSolver solver(o);
-    auto r = solver.Solve(mp.nlp, seed);
-    ASSERT_TRUE(r.ok()) << "threads=" << threads;
-    if (!have_reference) {
-      reference = std::move(r).value();
-      have_reference = true;
-      EXPECT_GT(reference.gradient_evaluations, 0);
-      EXPECT_GT(reference.interp_queries, 0);
-      // Reported quality is the honest scalar recomputation at the
-      // returned layout, not a batched-path approximation.
-      double true_max = 0.0;
-      for (int j = 0; j < m; ++j) {
-        true_max = std::max(true_max,
-                            mp.nlp.target_utilization(reference.layout, j));
+  for (const int sparse_top_k : {0, 3}) {
+    SCOPED_TRACE(sparse_top_k > 0 ? "sparse rows" : "dense rows");
+    ModelProblem mp = MakeModelProblem(n, m, 17, sparse_top_k);
+    ASSERT_EQ((*mp.workloads)[0].has_sparse_overlap(), sparse_top_k > 0);
+    SolverResult reference;
+    bool have_reference = false;
+    for (int threads : {1, 2, 8}) {
+      SolverOptions o = FastOptions();
+      o.num_threads = threads;
+      ProjectedGradientSolver solver(o);
+      auto r = solver.Solve(mp.nlp, seed);
+      ASSERT_TRUE(r.ok()) << "threads=" << threads;
+      if (!have_reference) {
+        reference = std::move(r).value();
+        have_reference = true;
+        EXPECT_GT(reference.gradient_evaluations, 0);
+        EXPECT_GT(reference.interp_queries, 0);
+        // Reported quality is the honest scalar recomputation at the
+        // returned layout, not a batched-path approximation.
+        double true_max = 0.0;
+        for (int j = 0; j < m; ++j) {
+          true_max = std::max(true_max,
+                              mp.nlp.target_utilization(reference.layout, j));
+        }
+        EXPECT_NEAR(reference.max_utilization, true_max,
+                    1e-9 * std::max(1.0, std::fabs(true_max)));
+        // Per-phase profile: every phase that ran reported its calls.
+        EXPECT_EQ(reference.profile.gradient.calls, reference.iterations);
+        EXPECT_GT(reference.profile.line_search.calls, 0);
+        EXPECT_GT(reference.profile.refresh.calls, 0);
+        continue;
       }
-      EXPECT_NEAR(reference.max_utilization, true_max,
-                  1e-9 * std::max(1.0, std::fabs(true_max)));
-      // Per-phase profile: every phase that ran reported its calls.
-      EXPECT_EQ(reference.profile.gradient.calls, reference.iterations);
-      EXPECT_GT(reference.profile.line_search.calls, 0);
-      EXPECT_GT(reference.profile.refresh.calls, 0);
-      continue;
+      EXPECT_TRUE(r->layout == reference.layout) << "threads=" << threads;
+      EXPECT_EQ(r->max_utilization, reference.max_utilization)
+          << "threads=" << threads;
+      EXPECT_EQ(r->iterations, reference.iterations);
+      EXPECT_EQ(r->objective_evaluations, reference.objective_evaluations);
+      EXPECT_EQ(r->gradient_evaluations, reference.gradient_evaluations);
+      EXPECT_EQ(r->interp_queries, reference.interp_queries);
+      EXPECT_EQ(r->feasible, reference.feasible);
     }
-    EXPECT_TRUE(r->layout == reference.layout) << "threads=" << threads;
-    EXPECT_EQ(r->max_utilization, reference.max_utilization)
-        << "threads=" << threads;
-    EXPECT_EQ(r->iterations, reference.iterations);
-    EXPECT_EQ(r->objective_evaluations, reference.objective_evaluations);
-    EXPECT_EQ(r->gradient_evaluations, reference.gradient_evaluations);
-    EXPECT_EQ(r->interp_queries, reference.interp_queries);
-    EXPECT_EQ(r->feasible, reference.feasible);
   }
 }
 
