@@ -348,16 +348,26 @@ BENCHMARK(BM_TargetModelColumnBatched)->Arg(20)->Arg(40)->Arg(160);
 
 void BM_TargetModelColumnGradient(benchmark::State& state) {
   // The solver's gradient unit of work: one fused pass returning µ_j and
-  // all N partials ∂µ_j/∂L_ij.
+  // all N partials ∂µ_j/∂L_ij, for N objects on M targets with each object
+  // on `on` of them. on == M is SEE (every cell present); the n:160/m:16/
+  // on:2 row is the solver's typical sparse iterate, where 7 of every 8
+  // cells are absent and their partials come from the evaluator's cached
+  // limit prices.
   const int n = static_cast<int>(state.range(0));
-  const int m = 4;
+  const int m = static_cast<int>(state.range(1));
+  const int on = static_cast<int>(state.range(2));
   Rng rng(3);
   WorkloadSet ws = MakeWorkloads(n, &rng);
   std::vector<TargetModelInfo> infos(
       static_cast<size_t>(m),
       TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
   TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  Layout layout = Layout::StripeEverythingEverywhere(n, m);
+  Layout layout(n, m);
+  for (int i = 0; i < n; ++i) {
+    std::vector<int> targets;
+    for (int k = 0; k < on; ++k) targets.push_back((i + k * m / on) % m);
+    layout.SetRowRegular(i, targets);
+  }
   auto ctx = model.MakeColumnEvaluator(ws, 0);
   std::vector<double> grad(static_cast<size_t>(n));
   for (auto _ : state) {
@@ -365,7 +375,12 @@ void BM_TargetModelColumnGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(grad.data());
   }
 }
-BENCHMARK(BM_TargetModelColumnGradient)->Arg(20)->Arg(40)->Arg(160);
+BENCHMARK(BM_TargetModelColumnGradient)
+    ->ArgNames({"n", "m", "on"})
+    ->Args({20, 4, 4})
+    ->Args({40, 4, 4})
+    ->Args({160, 4, 4})
+    ->Args({160, 16, 2});
 
 /// Tenant-banded workloads: each object overlaps only its `neighbors`
 /// ring neighbours, converted to the CSR representation (dense cleared).

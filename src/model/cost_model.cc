@@ -145,12 +145,14 @@ void CostModel::CostWithGradBatchLog2(bool is_write, size_t count,
                                       const double* log2_run,
                                       const double* run, const double* chi,
                                       double* cost, double* d_run,
-                                      double* d_chi) const {
+                                      double* d_chi,
+                                      double* value_cost) const {
   // The size axis' partial is skipped (null grads[0]); `d_run` receives
   // the log2-run partial in place and is chain-ruled to the raw run below.
   double* grads[3] = {nullptr, d_run, d_chi};
   const double* coords[3] = {log2_size, log2_run, chi};
-  (is_write ? write_ : read_).AtWithGradBatch(count, coords, cost, grads);
+  (is_write ? write_ : read_)
+      .AtWithGradBatch(count, coords, cost, grads, value_cost);
   for (size_t q = 0; q < count; ++q) {
     d_run[q] /= run[q] * kLn2;
   }

@@ -85,11 +85,13 @@ class CostModel {
 
   /// Batched CostWithGrad over log-domain coordinates. The raw `run` array
   /// is still required to chain-rule `d_run` back to the raw run count.
+  /// A non-null `value_cost` also receives every cost exactly as
+  /// CostBatchLog2 prices it (GridInterpolator::AtWithGradBatch's `at_out`).
   void CostWithGradBatchLog2(bool is_write, size_t count,
                              const double* log2_size, const double* log2_run,
                              const double* run, const double* chi,
-                             double* cost, double* d_run,
-                             double* d_chi) const;
+                             double* cost, double* d_run, double* d_chi,
+                             double* value_cost = nullptr) const;
 
   /// Convenience wrappers matching the paper's Cost^R_j / Cost^W_j.
   double ReadCost(double size, double run, double chi) const {

@@ -219,12 +219,25 @@ namespace {
 /// transposed overlap-matrix·vector product — the same O(N²) asymptotics
 /// as the interference accumulators, but a two-op inner loop over
 /// contiguous arrays. All interpolator queries of the pass run through the
-/// cost model's batched fused value+gradient lookups.
+/// cost model's batched fused value+gradient lookups, for present objects
+/// only: an absent object's mc terms are limit prices cached at
+/// construction, and only its rate-scale term is non-zero.
 class TargetColumnContext final : public ColumnEvaluator {
  public:
+  /// Builds everything that depends only on the workloads and the target:
+  /// overlap diagonals, the query template and the absent-object limit
+  /// prices (one gradient-pass worth of lookups, paid once).
   TargetColumnContext(const TargetModel* model, const WorkloadSet* workloads,
                       int j)
-      : model_(model), workloads_(workloads), j_(j) {}
+      : model_(model), workloads_(workloads), j_(j) {
+    const size_t un = workloads_->size();
+    diag_.resize(un);
+    for (size_t i = 0; i < un; ++i) {
+      diag_[i] = (*workloads_)[i].overlap_with(i);
+    }
+    BuildQueryTemplate(model_->target_info(j_), un);
+    BuildLimitPrices(un);
+  }
 
   double Evaluate(const Layout& layout) override {
     return BatchedColumn(layout, nullptr);
@@ -237,16 +250,6 @@ class TargetColumnContext final : public ColumnEvaluator {
   int64_t interp_queries() const override { return queries_; }
 
  private:
-  /// Caches every object's overlap diagonal O_i[i]. Workloads are fixed
-  /// for a context's lifetime, so this runs once.
-  void EnsureOverlapCache(size_t un) {
-    if (diag_.size() == un) return;
-    diag_.resize(un);
-    for (size_t i = 0; i < un; ++i) {
-      diag_[i] = (*workloads_)[i].overlap_with(i);
-    }
-  }
-
   /// One cost-table lookup of an object's member-cost expression. Sizes
   /// and coefficients depend only on the workload and the target geometry,
   /// so the per-object lookup lists are templated once and reused by every
@@ -262,10 +265,12 @@ class TargetColumnContext final : public ColumnEvaluator {
 
   /// Structure-of-arrays buffers for one table's queries of a pass. Size
   /// and run coordinates are kept in the cost tables' log2 domain; the raw
-  /// run count rides along only for the d_run chain rule.
+  /// run count rides along only for the d_run chain rule. `cost` holds the
+  /// prices as the value kernel rounds them, `grad_cost` as the gradient
+  /// kernel does (the two differ in the last place).
   struct QueryBatch {
-    std::vector<double> log2_size, log2_run, run, chi, coef, cost, d_run,
-        d_chi;
+    std::vector<double> log2_size, log2_run, run, chi, coef, cost, grad_cost,
+        d_run, d_chi;
     std::vector<int> obj;
     std::vector<char> role;  // 1 = write-role
 
@@ -340,14 +345,127 @@ class TargetColumnContext final : public ColumnEvaluator {
     return run < 1.0 ? 1.0 : run;
   }
 
+  /// Appends object i's template queries at run count `run` and contention
+  /// factor `chi` to the pass's per-table batches.
+  void GatherQueries(size_t i, double run, double chi) {
+    const double log2_run = std::log2(run);  // once per object, not query
+    for (size_t q = tmpl_begin_[i]; q < tmpl_begin_[i + 1]; ++q) {
+      const QueryTemplate& t = tmpl_[q];
+      QueryBatch& b = qb_[t.write_table ? 1 : 0];
+      b.log2_size.push_back(t.log2_size);
+      b.log2_run.push_back(log2_run);
+      b.run.push_back(run);
+      b.chi.push_back(chi);
+      b.coef.push_back(t.coef);
+      b.obj.push_back(static_cast<int>(i));
+      b.role.push_back(t.write_role ? 1 : 0);
+    }
+  }
+
+  /// Runs the gathered batches through the cost tables (read table, then
+  /// write table) and accumulates each object's member costs in that
+  /// order: with `value`, the value kernel's prices into mc_*; with
+  /// `gradient`, the gradient kernel's into grad_mc_* together with the
+  /// run and χ partials. µ_j is summed from the former and ∂µ_j/∂L_ij from
+  /// the latter, so a fused pass returns the value-only pass's µ_j bit for
+  /// bit. With both, each query is located once and priced both ways.
+  /// Kept out of line: inlined into each caller with its flags constant,
+  /// the accumulation loop is specialized per call site, and which of its
+  /// products the compiler fuses into FMAs — so the sums' last bits —
+  /// would then depend on the caller (the limit-price build must round
+  /// exactly as the gradient pass does).
+  [[gnu::noinline]] void PriceQueries(size_t un, bool value, bool gradient) {
+    const TargetModelInfo& tgt = model_->target_info(j_);
+    if (value) {
+      mc_read_.assign(un, 0.0);
+      mc_write_.assign(un, 0.0);
+    }
+    if (gradient) {
+      grad_mc_read_.assign(un, 0.0);
+      grad_mc_write_.assign(un, 0.0);
+      drun_read_.assign(un, 0.0);
+      drun_write_.assign(un, 0.0);
+      dchi_read_.assign(un, 0.0);
+      dchi_write_.assign(un, 0.0);
+    }
+    for (int t = 0; t < 2; ++t) {
+      QueryBatch& b = qb_[t];
+      const size_t count = b.log2_size.size();
+      if (count == 0) continue;
+      queries_ += static_cast<int64_t>(count);
+      if (value) b.cost.resize(count);
+      if (gradient) {
+        b.grad_cost.resize(count);
+        b.d_run.resize(count);
+        b.d_chi.resize(count);
+        tgt.cost_model->CostWithGradBatchLog2(
+            t == 1, count, b.log2_size.data(), b.log2_run.data(),
+            b.run.data(), b.chi.data(), b.grad_cost.data(), b.d_run.data(),
+            b.d_chi.data(), value ? b.cost.data() : nullptr);
+      } else {
+        tgt.cost_model->CostBatchLog2(t == 1, count, b.log2_size.data(),
+                                      b.log2_run.data(), b.chi.data(),
+                                      b.cost.data());
+      }
+      // Each member-cost product is rounded before it is added: it feeds
+      // both role branches, so it is never contracted into an FMA, while
+      // each partial's product has one use and is. These are the roundings
+      // the value and gradient passes have always produced; the solver
+      // regression test pins them.
+      for (size_t q = 0; q < count; ++q) {
+        const size_t uo = static_cast<size_t>(b.obj[q]);
+        const double coef = b.coef[q];
+        const bool write = b.role[q] != 0;
+        if (value) {
+          const double term = coef * b.cost[q];
+          if (write) {
+            mc_write_[uo] += term;
+          } else {
+            mc_read_[uo] += term;
+          }
+        }
+        if (gradient) {
+          const double term = coef * b.grad_cost[q];
+          if (write) {
+            grad_mc_write_[uo] += term;
+            drun_write_[uo] += coef * b.d_run[q];
+            dchi_write_[uo] += coef * b.d_chi[q];
+          } else {
+            grad_mc_read_[uo] += term;
+            drun_read_[uo] += coef * b.d_run[q];
+            dchi_read_[uo] += coef * b.d_chi[q];
+          }
+        }
+      }
+    }
+  }
+
+  /// Prices every object's member costs at the fraction → 0+ limit, where
+  /// an absent object's gradient is the rate-scale term λ^R·mcR + λ^W·mcW.
+  /// The limit point — run count LimitRunCount, χ = kClampedChi when
+  /// anything interferes (I_i > 0), else the diagonal — does not depend on
+  /// the layout beyond that one bit, so both variants are priced here,
+  /// through the gradient pass's own gather and accumulation: the cached
+  /// sums equal the ones the pass would compute bit for bit.
+  void BuildLimitPrices(size_t un) {
+    for (int clamped = 0; clamped < 2; ++clamped) {
+      qb_[0].Clear();
+      qb_[1].Clear();
+      for (size_t i = 0; i < un; ++i) {
+        GatherQueries(i, LimitRunCount((*workloads_)[i]),
+                      clamped != 0 ? kClampedChi : diag_[i]);
+      }
+      PriceQueries(un, /*value=*/false, /*gradient=*/true);
+      limit_read_[clamped] = grad_mc_read_;
+      limit_write_[clamped] = grad_mc_write_;
+    }
+  }
+
   /// The shared batched kernel: µ_j(layout), plus grad[i] = ∂µ_j/∂L_ij
   /// when `grad` is non-null.
   double BatchedColumn(const Layout& layout, double* grad) {
-    const int n = layout.num_objects();
-    const size_t un = static_cast<size_t>(n);
-    const TargetModelInfo& tgt = model_->target_info(j_);
-    EnsureOverlapCache(un);
-    if (tmpl_begin_.size() != un + 1) BuildQueryTemplate(tgt, un);
+    const size_t un = static_cast<size_t>(layout.num_objects());
+    LDB_CHECK_EQ(un, diag_.size());
 
     bper_.resize(un);
     bfrac_.resize(un);
@@ -364,8 +482,8 @@ class TargetColumnContext final : public ColumnEvaluator {
     // Interference accumulators: one contiguous overlap-row · rate dot
     // product per object — the column's O(N²) work, shaped so the
     // compiler can vectorize it. The value-only pass skips absent rows;
-    // the gradient pass needs every row (an absent object's χ limit
-    // depends on whether anything interferes with it).
+    // the gradient pass needs every row (an absent object's cached limit
+    // price depends on whether anything interferes with it).
     const double* rate = brate_.data();
     for (size_t i = 0; i < un; ++i) {
       if (grad == nullptr && rate[i] <= 0.0) {
@@ -411,93 +529,33 @@ class TargetColumnContext final : public ColumnEvaluator {
       binterf_[i] = std::max(0.0, dot - rate[i] * diag_[i]);
     }
 
-    // Gather the pass's cost queries, split by lookup table.
+    // Gather the present objects' cost queries, split by lookup table, and
+    // price them.
     qb_[0].Clear();
     qb_[1].Clear();
     for (size_t i = 0; i < un; ++i) {
-      const WorkloadDesc& wi = (*workloads_)[i];
-      double run;
-      double chi;
-      if (rate[i] > 0.0) {
-        run = bper_[i].run_count;
-        chi = binterf_[i] / rate[i] + diag_[i];
-      } else if (grad != nullptr) {
-        // Fraction → 0+ limit: the rates vanish linearly, so ∂µ_ij/∂L_ij
-        // tends to λ^R·mcR + λ^W·mcW priced at the limiting run count and
-        // contention factor.
-        run = LimitRunCount(wi);
-        chi = binterf_[i] > 0.0 ? kClampedChi : diag_[i];
-      } else {
-        continue;  // absent objects contribute nothing to the value
-      }
-      const double log2_run = std::log2(run);  // once per object, not query
-      for (size_t q = tmpl_begin_[i]; q < tmpl_begin_[i + 1]; ++q) {
-        const QueryTemplate& t = tmpl_[q];
-        QueryBatch& b = qb_[t.write_table ? 1 : 0];
-        b.log2_size.push_back(t.log2_size);
-        b.log2_run.push_back(log2_run);
-        b.run.push_back(run);
-        b.chi.push_back(chi);
-        b.coef.push_back(t.coef);
-        b.obj.push_back(static_cast<int>(i));
-        b.role.push_back(t.write_role ? 1 : 0);
-      }
+      if (rate[i] <= 0.0) continue;  // absent: no value, cached gradient
+      GatherQueries(i, bper_[i].run_count, binterf_[i] / rate[i] + diag_[i]);
     }
-
-    // Batched fused lookups, then per-object member-cost accumulation.
-    mc_read_.assign(un, 0.0);
-    mc_write_.assign(un, 0.0);
-    if (grad != nullptr) {
-      drun_read_.assign(un, 0.0);
-      drun_write_.assign(un, 0.0);
-      dchi_read_.assign(un, 0.0);
-      dchi_write_.assign(un, 0.0);
-    }
-    for (int t = 0; t < 2; ++t) {
-      QueryBatch& b = qb_[t];
-      const size_t count = b.log2_size.size();
-      if (count == 0) continue;
-      queries_ += static_cast<int64_t>(count);
-      b.cost.resize(count);
-      if (grad != nullptr) {
-        b.d_run.resize(count);
-        b.d_chi.resize(count);
-        tgt.cost_model->CostWithGradBatchLog2(
-            t == 1, count, b.log2_size.data(), b.log2_run.data(),
-            b.run.data(), b.chi.data(), b.cost.data(), b.d_run.data(),
-            b.d_chi.data());
-      } else {
-        tgt.cost_model->CostBatchLog2(t == 1, count, b.log2_size.data(),
-                                      b.log2_run.data(), b.chi.data(),
-                                      b.cost.data());
-      }
-      for (size_t q = 0; q < count; ++q) {
-        const size_t uo = static_cast<size_t>(b.obj[q]);
-        const double coef = b.coef[q];
-        if (b.role[q] != 0) {
-          mc_write_[uo] += coef * b.cost[q];
-          if (grad != nullptr) {
-            drun_write_[uo] += coef * b.d_run[q];
-            dchi_write_[uo] += coef * b.d_chi[q];
-          }
-        } else {
-          mc_read_[uo] += coef * b.cost[q];
-          if (grad != nullptr) {
-            drun_read_[uo] += coef * b.d_run[q];
-            dchi_read_[uo] += coef * b.d_chi[q];
-          }
-        }
-      }
-    }
+    PriceQueries(un, /*value=*/true, /*gradient=*/grad != nullptr);
 
     double mu_j = 0.0;
-    if (grad == nullptr) {
-      for (size_t i = 0; i < un; ++i) {
-        if (rate[i] <= 0.0) continue;
-        mu_j += bper_[i].read_rate * mc_read_[i] +
-                bper_[i].write_rate * mc_write_[i];
-      }
-      return mu_j;
+    for (size_t i = 0; i < un; ++i) {
+      if (rate[i] <= 0.0) continue;
+      mu_j += bper_[i].read_rate * mc_read_[i] +
+              bper_[i].write_rate * mc_write_[i];
+    }
+    if (grad == nullptr) return mu_j;
+
+    // Absent objects' member costs at the fraction → 0+ limit: the rates
+    // vanish linearly, so ∂µ_ij/∂L_ij tends to λ^R·mcR + λ^W·mcW priced at
+    // the limiting run count and contention factor (BuildLimitPrices).
+    // Their run and χ partials are never read.
+    for (size_t i = 0; i < un; ++i) {
+      if (rate[i] > 0.0) continue;
+      const int clamped = binterf_[i] > 0.0 ? 1 : 0;
+      grad_mc_read_[i] = limit_read_[clamped][i];
+      grad_mc_write_[i] = limit_write_[clamped][i];
     }
 
     // χ-slopes and their rate-normalized cross-term coefficients.
@@ -505,8 +563,6 @@ class TargetColumnContext final : public ColumnEvaluator {
     bslope_.assign(un, 0.0);
     for (size_t i = 0; i < un; ++i) {
       if (rate[i] <= 0.0) continue;
-      mu_j += bper_[i].read_rate * mc_read_[i] +
-              bper_[i].write_rate * mc_write_[i];
       const double slope = bper_[i].read_rate * dchi_read_[i] +
                            bper_[i].write_rate * dchi_write_[i];
       bslope_[i] = slope;
@@ -539,7 +595,7 @@ class TargetColumnContext final : public ColumnEvaluator {
       const WorkloadDesc& wi = (*workloads_)[i];
       const double lam = wi.total_rate();
       double g =
-          wi.read_rate * mc_read_[i] + wi.write_rate * mc_write_[i];
+          wi.read_rate * grad_mc_read_[i] + wi.write_rate * grad_mc_write_[i];
       g += lam * (cross[i] - ck_[i] * diag_[i]);
       if (rate[i] > 0.0) {
         const double dq =
@@ -568,7 +624,11 @@ class TargetColumnContext final : public ColumnEvaluator {
   QueryBatch qb_[2];  // [0] read table, [1] write table
   std::vector<PerTargetWorkload> bper_;
   std::vector<double> bfrac_, brate_, binterf_;
-  std::vector<double> mc_read_, mc_write_;
+  std::vector<double> mc_read_, mc_write_, grad_mc_read_, grad_mc_write_;
+  // Absent-object member costs at the fraction → 0+ limit, indexed
+  // [clamped χ][object]: [0] priced at χ = O_i[i] (nothing interferes),
+  // [1] at kClampedChi.
+  std::vector<double> limit_read_[2], limit_write_[2];
   std::vector<double> drun_read_, drun_write_, dchi_read_, dchi_write_;
   std::vector<double> ck_, bslope_, bcross_;
   int64_t queries_ = 0;

@@ -94,9 +94,13 @@ struct SolverPhaseStats {
 /// Per-phase effort breakdown of a solve, surfaced through the benches'
 /// --json output so speedups land with numbers attached.
 struct SolverProfile {
-  SolverPhaseStats gradient;     ///< per-column gradient sweeps
-  SolverPhaseStats line_search;  ///< backtracking trial evaluations
-  SolverPhaseStats refresh;      ///< accepted-state cache rebuilds
+  /// Chain-rule assembly of the step direction (SmoothMax weights, penalty
+  /// slopes) from the cached column gradients; one call per iteration.
+  SolverPhaseStats gradient;
+  /// Backtracking trials, each one fused value+gradient pass per column.
+  SolverPhaseStats line_search;
+  /// The seed's fused pass and each accepted trial's adoption.
+  SolverPhaseStats refresh;
 
   void Accumulate(const SolverProfile& o) {
     gradient.Accumulate(o.gradient);
@@ -110,12 +114,16 @@ struct SolverResult {
   Layout layout;            ///< optimized (generally non-regular) layout
   double max_utilization;   ///< true max_j µ_j of `layout`
   int iterations = 0;       ///< gradient steps taken
-  /// Value-only µ_j column evaluations (refreshes and line-search trials).
+  /// µ_j column passes of either kind: the seed's, every line-search
+  /// trial's, and the final one after a capacity repair.
   int64_t objective_evaluations = 0;
-  /// Fused value+gradient column passes (one per column per step).
+  /// The gradient-bearing ones among them, actually run: the seed's pass
+  /// and every trial's (accepted or not), one per column each.
   int64_t gradient_evaluations = 0;
-  /// Interpolator lookups issued by the batched analytic kernels (each
-  /// visits the 2^dims corners of one grid cell).
+  /// Interpolator lookups issued by the column evaluators' batched kernels
+  /// (each visits the 2^dims corners of one grid cell), including the
+  /// absent-object limit prices built once per evaluator. Reads of those
+  /// cached prices are not lookups.
   int64_t interp_queries = 0;
   /// Per-phase counters and timings of this solve.
   SolverProfile profile;

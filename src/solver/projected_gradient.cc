@@ -94,20 +94,23 @@ double SeparationPenalty(const LayoutNlpProblem& p, const Layout& layout) {
   return total;
 }
 
-/// Working evaluation state for one candidate layout: the per-column
-/// evaluators, cached per-target utilizations, assigned bytes, the
-/// capacity-penalty sum, and the separation penalty. Refresh runs its
-/// per-column work on the pool when one is given; every reduction stays
-/// serial so results are thread-count invariant.
+/// One column evaluator per target, shared by every Evaluator of a solve:
+/// column evaluators are pure functions of the layout (they keep only
+/// scratch and layout-independent caches), and the solve never refreshes
+/// two Evaluators at once.
+using ColumnEvaluators = std::vector<std::unique_ptr<ColumnEvaluator>>;
+
+/// Working evaluation state for one candidate layout: cached per-target
+/// utilizations and their gradients, assigned bytes, the capacity-penalty
+/// sum, and the separation penalty. Refresh runs its per-column work on the
+/// pool when one is given; every reduction stays serial so results are
+/// thread-count invariant.
 class Evaluator {
  public:
-  Evaluator(const LayoutNlpProblem& p, ThreadPool* pool,
-            int64_t* eval_counter)
-      : p_(p), pool_(pool), eval_counter_(eval_counter) {
-    contexts_.reserve(static_cast<size_t>(p.num_targets));
-    for (int j = 0; j < p.num_targets; ++j) {
-      contexts_.push_back(p.make_column_eval(j));
-    }
+  /// Column passes are counted into `result`'s evaluation counters.
+  Evaluator(const LayoutNlpProblem& p, const ColumnEvaluators& columns,
+            ThreadPool* pool, SolverResult* result)
+      : p_(p), columns_(columns), pool_(pool), result_(result) {
     partners_.resize(static_cast<size_t>(p.num_objects));
     for (const auto& [a, b] : p.constraints.separate) {
       partners_[static_cast<size_t>(a)].push_back(b);
@@ -115,21 +118,28 @@ class Evaluator {
     }
   }
 
-  /// Fully (re)computes caches for `layout`. Column evaluations fan out
-  /// over the pool; each writes its own slot.
-  void Refresh(const Layout& layout) {
+  /// Fully (re)computes caches for `layout`. With `with_gradient` each
+  /// column runs the fused value+gradient pass and also fills its dmu span
+  /// (∂µ_j/∂L_·j); otherwise value only. Column evaluations fan out over
+  /// the pool; each writes its own slots.
+  void Refresh(const Layout& layout, bool with_gradient) {
     const int m = p_.num_targets;
+    const size_t un = static_cast<size_t>(p_.num_objects);
     mu_.resize(static_cast<size_t>(m));
+    if (with_gradient) dmu_.resize(un * static_cast<size_t>(m));
     auto column = [&](int, int64_t j) {
       const size_t uj = static_cast<size_t>(j);
-      mu_[uj] = contexts_[uj]->Evaluate(layout);
+      mu_[uj] = with_gradient ? columns_[uj]->EvaluateWithGradient(
+                                    layout, &dmu_[uj * un])
+                              : columns_[uj]->Evaluate(layout);
     };
     if (pool_ != nullptr) {
       pool_->ParallelFor(m, column);
     } else {
       for (int j = 0; j < m; ++j) column(0, j);
     }
-    *eval_counter_ += m;
+    result_->objective_evaluations += m;
+    if (with_gradient) result_->gradient_evaluations += m;
 
     bytes_.assign(static_cast<size_t>(m), 0.0);
     for (int i = 0; i < p_.num_objects; ++i) {
@@ -170,40 +180,39 @@ class Evaluator {
     return total;
   }
 
-  ColumnEvaluator* context(int j) const {
-    return contexts_[static_cast<size_t>(j)].get();
-  }
-
-  /// Copies another evaluator's caches wholesale. Valid because column
-  /// evaluators are pure functions of the layout — it spares the
-  /// accepted-step double evaluation: the line search just computed these
-  /// exact values for the accepted trial layout.
-  void AdoptState(const Evaluator& o) {
-    mu_ = o.mu_;
-    bytes_ = o.bytes_;
-    penalty_sum_ = o.penalty_sum_;
-    separation_ = o.separation_;
-  }
-
-  /// Interpolator queries issued by this evaluator's batched kernels,
-  /// summed serially in column order.
-  int64_t TotalInterpQueries() const {
-    int64_t total = 0;
-    for (const auto& ctx : contexts_) total += ctx->interp_queries();
-    return total;
+  /// Takes over another evaluator's caches: values are copied and the
+  /// gradient buffers swapped (the other evaluator's next Refresh
+  /// overwrites what it gets back). Valid because column evaluators are
+  /// pure functions of the layout — it spares re-pricing the accepted
+  /// step: the line search just computed these exact values and gradients
+  /// for the accepted trial layout.
+  void AdoptState(Evaluator* o) {
+    mu_ = o->mu_;
+    dmu_.swap(o->dmu_);
+    bytes_ = o->bytes_;
+    penalty_sum_ = o->penalty_sum_;
+    separation_ = o->separation_;
   }
 
   double TrueMax() const { return *std::max_element(mu_.begin(), mu_.end()); }
   const std::vector<double>& mu() const { return mu_; }
+  /// ∂µ_j/∂L_ij from the last gradient-bearing Refresh (column-major).
+  double dmu(int i, int j) const {
+    return dmu_[static_cast<size_t>(j) * static_cast<size_t>(p_.num_objects) +
+                static_cast<size_t>(i)];
+  }
   double bytes(int j) const { return bytes_[static_cast<size_t>(j)]; }
 
  private:
   const LayoutNlpProblem& p_;
+  const ColumnEvaluators& columns_;
   ThreadPool* pool_;
-  int64_t* eval_counter_;
-  std::vector<std::unique_ptr<ColumnEvaluator>> contexts_;
+  SolverResult* result_;
   std::vector<std::vector<int>> partners_;
   std::vector<double> mu_;
+  // Column-major M x N, so each parallel column task writes one contiguous
+  // span.
+  std::vector<double> dmu_;
   std::vector<double> bytes_;
   double penalty_sum_ = 0.0;
   double separation_ = 0.0;
@@ -315,22 +324,25 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
                           &sort_scratch);
   }
 
-  Evaluator eval(problem, pool.get(), &result.objective_evaluations);
+  ColumnEvaluators columns;
+  columns.reserve(static_cast<size_t>(m));
+  for (int j = 0; j < m; ++j) columns.push_back(problem.make_column_eval(j));
+  // The seed's values and gradients: the only gradient sweep of the solve.
+  // Every later iterate is an accepted line-search trial, priced with its
+  // gradient when it was tried.
+  Evaluator eval(problem, columns, pool.get(), &result);
   {
     const int64_t t0 = NowNanos();
-    eval.Refresh(result.layout);
+    eval.Refresh(result.layout, /*with_gradient=*/true);
     result.profile.refresh.calls += 1;
     result.profile.refresh.ns += NowNanos() - t0;
   }
-  // Line-search evaluator: value-only refreshes of trial layouts.
-  Evaluator trial_eval(problem, pool.get(), &result.objective_evaluations);
+  // Line-search evaluator: fused value+gradient refreshes of trial layouts.
+  Evaluator trial_eval(problem, columns, pool.get(), &result);
 
   Layout& x = result.layout;
   std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  // Gradient sweep scratch: per-column ∂µ_j/∂L_·j slots (column-major so
-  // each parallel column task writes one contiguous span), SmoothMax
-  // weights, and capacity-penalty slopes.
-  std::vector<double> dmu(static_cast<size_t>(n) * static_cast<size_t>(m));
+  // Chain-rule scratch: SmoothMax weights and capacity-penalty slopes.
   std::vector<double> smw(static_cast<size_t>(m));
   std::vector<double> dcap(static_cast<size_t>(m));
   Layout trial(n, m);
@@ -345,23 +357,11 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       ++result.iterations;
 
       const int64_t grad_t0 = NowNanos();
-      // Fused gradient sweep: one batched value+gradient pass per column
-      // fills ∂µ_j/∂L_·j into that column's disjoint dmu span; the
-      // SmoothMax and penalty compositions are then chain-ruled serially
-      // in index order, so the gradient is bit-identical for every
-      // thread count. Cost per step: M kernel passes.
-      auto grad_column = [&](int, int64_t jj) {
-        const size_t uj = static_cast<size_t>(jj);
-        eval.context(static_cast<int>(jj))
-            ->EvaluateWithGradient(x, &dmu[uj * static_cast<size_t>(n)]);
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(m, grad_column);
-      } else {
-        for (int j = 0; j < m; ++j) grad_column(0, j);
-      }
-      result.gradient_evaluations += m;
-
+      // Chain rule: eval already holds ∂µ_j/∂L_ij at x (from the seed's
+      // refresh or the accepted trial's fused pass — it depends on neither
+      // temperature nor penalty, so it stays valid across rounds). The
+      // SmoothMax and penalty compositions are applied serially in index
+      // order, so the gradient is bit-identical for every thread count.
       // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
       // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
       const std::vector<double>& mu = eval.mu();
@@ -394,8 +394,7 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
             problem.object_sizes[static_cast<size_t>(i)]);
         for (int j = 0; j < m; ++j) {
           const size_t uj = static_cast<size_t>(j);
-          grow[j] = smw[uj] * dmu[uj * static_cast<size_t>(n) +
-                                  static_cast<size_t>(i)] +
+          grow[j] = smw[uj] * eval.dmu(i, j) +
                     penalty * (dcap[uj] * si + eval.PartnerMass(i, j, x));
         }
       }
@@ -422,7 +421,7 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
           for (int j = 0; j < m; ++j) row[j] -= alpha * grow[j];
           ProjectRowConstrained(problem, i, row, &sub_scratch, &sort_scratch);
         }
-        trial_eval.Refresh(trial);
+        trial_eval.Refresh(trial, /*with_gradient=*/true);
         result.profile.line_search.calls += 1;
         const double f_trial = trial_eval.Objective(temp, penalty);
         if (f_trial < f - options_.armijo_c * alpha * grad_norm2) {
@@ -439,10 +438,10 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       x = trial;
       {
         const int64_t rf_t0 = NowNanos();
-        // trial_eval just priced the accepted layout with the same
-        // stateless batched kernels — adopt its caches instead of paying
-        // the refresh twice.
-        eval.AdoptState(trial_eval);
+        // trial_eval just priced the accepted layout and its gradient with
+        // the same stateless batched kernels — adopt its caches instead of
+        // paying the refresh and the gradient sweep again.
+        eval.AdoptState(&trial_eval);
         result.profile.refresh.calls += 1;
         result.profile.refresh.ns += NowNanos() - rf_t0;
       }
@@ -461,15 +460,17 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   // Penalty methods can leave a small capacity violation; repair greedily.
   if (!x.SatisfiesCapacity(problem.object_sizes, problem.target_capacities)) {
     RepairCapacity(problem, &x);
-    eval.Refresh(x);
+    eval.Refresh(x, /*with_gradient=*/false);
   }
 
   result.feasible =
       x.IsValid(problem.object_sizes, problem.target_capacities, 1e-6) &&
       problem.constraints.SatisfiedBy(x, /*tol=*/1e-3);
   result.max_utilization = eval.TrueMax();
-  result.interp_queries =
-      eval.TotalInterpQueries() + trial_eval.TotalInterpQueries();
+  // Interpolator queries, summed serially in column order.
+  for (const auto& column : columns) {
+    result.interp_queries += column->interp_queries();
+  }
   return result;
 }
 

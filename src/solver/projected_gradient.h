@@ -16,11 +16,14 @@ namespace ldb {
 ///    whose temperature is annealed upward across rounds;
 ///  * capacity constraints enter as a quadratic penalty whose weight is
 ///    annealed upward in lock-step;
-///  * each iteration takes a projected-gradient step: one fused
-///    value+gradient pass per column through the problem's column
-///    evaluators (LayoutNlpProblem::make_column_eval), chain-ruled through
-///    the smooth max and the penalties, then a backtracking Armijo line
-///    search and per-row Euclidean projection back onto the unit simplex;
+///  * each iteration takes a projected-gradient step: the column
+///    gradients at the current layout, chain-ruled through the smooth max
+///    and the penalties, then a backtracking Armijo line search with
+///    per-row Euclidean projection back onto the unit simplex. Every
+///    trial is priced with one fused value+gradient pass per column
+///    through the problem's column evaluators
+///    (LayoutNlpProblem::make_column_eval), so the accepted trial brings
+///    the next step's gradients with it;
 ///  * with SolverOptions::num_threads != 1 the column passes run
 ///    concurrently. Gradient entries are written to disjoint
 ///    index-addressed slots and reduced serially, so the result is

@@ -13,6 +13,26 @@ namespace {
 /// inside the solver's inner loop.
 constexpr size_t kMaxDims = 8;
 
+/// Value3's lerp chain over one located cell (upper-edge weights w0..w2,
+/// corner values v<axis0><axis1><axis2>), innermost axis first. Kept out
+/// of line: ValueGrad3 also calls it for callers that want the value as
+/// Value3 rounds it, and inlined next to ValueGrad3's own chain the shared
+/// products would change which operations the compiler fuses into FMAs or
+/// packs into vectors — and with them both results' last bits.
+[[gnu::noinline]] double TrilinearValue(double w0, double w1, double w2,
+                                        double v000, double v001,
+                                        double v010, double v011,
+                                        double v100, double v101,
+                                        double v110, double v111) {
+  const double a00 = v000 + w2 * (v001 - v000);
+  const double a01 = v010 + w2 * (v011 - v010);
+  const double a10 = v100 + w2 * (v101 - v100);
+  const double a11 = v110 + w2 * (v111 - v110);
+  const double b0 = a00 + w1 * (a01 - a00);
+  const double b1 = a10 + w1 * (a11 - a10);
+  return b0 + w0 * (b1 - b0);
+}
+
 }  // namespace
 
 void LocateOnAxis(const std::vector<double>& axis, double x, size_t* index,
@@ -182,18 +202,12 @@ double GridInterpolator::Value3(const double* point) const {
   const double v010 = v[lo0 + hi1 + i2 * s2], v011 = v[lo0 + hi1 + j2 * s2];
   const double v100 = v[hi0 + lo1 + i2 * s2], v101 = v[hi0 + lo1 + j2 * s2];
   const double v110 = v[hi0 + hi1 + i2 * s2], v111 = v[hi0 + hi1 + j2 * s2];
-  // Lerp chain, innermost axis first.
-  const double a00 = v000 + w2 * (v001 - v000);
-  const double a01 = v010 + w2 * (v011 - v010);
-  const double a10 = v100 + w2 * (v101 - v100);
-  const double a11 = v110 + w2 * (v111 - v110);
-  const double b0 = a00 + w1 * (a01 - a00);
-  const double b1 = a10 + w1 * (a11 - a10);
-  return b0 + w0 * (b1 - b0);
+  return TrilinearValue(w0, w1, w2, v000, v001, v010, v011, v100, v101, v110,
+                        v111);
 }
 
-double GridInterpolator::ValueGrad3(const double* point,
-                                    double* grad_out) const {
+double GridInterpolator::ValueGrad3(const double* point, double* grad_out,
+                                    double* value3_out) const {
   size_t i0, i1, i2;
   double w0, w1, w2;
   LocateOnAxis(axes_[0], point[0], &i0, &w0);
@@ -233,6 +247,10 @@ double GridInterpolator::ValueGrad3(const double* point,
   grad_out[0] = (b1 - b0) * dw0;
   grad_out[1] = ((a01 - a00) + w0 * ((a11 - a10) - (a01 - a00))) * dw1;
   grad_out[2] = (e0 + w0 * (e1 - e0)) * dw2;
+  if (value3_out != nullptr) {
+    *value3_out = TrilinearValue(w0, w1, w2, v000, v001, v010, v011, v100,
+                                 v101, v110, v111);
+  }
   return b0 + w0 * (b1 - b0);
 }
 
@@ -268,8 +286,8 @@ void GridInterpolator::AtBatch(size_t count, const double* const* coords,
 
 void GridInterpolator::AtWithGradBatch(size_t count,
                                        const double* const* coords,
-                                       double* out,
-                                       double* const* grads) const {
+                                       double* out, double* const* grads,
+                                       double* at_out) const {
   const size_t dims = axes_.size();
   LDB_CHECK_LE(dims, kMaxDims);
   LDB_CHECK(out != nullptr);
@@ -280,7 +298,8 @@ void GridInterpolator::AtWithGradBatch(size_t count,
     double grad[3];
     for (size_t q = 0; q < count; ++q) {
       const double point[3] = {c0[q], c1[q], c2[q]};
-      out[q] = ValueGrad3(point, grad);
+      out[q] = ValueGrad3(point, grad,
+                          at_out != nullptr ? &at_out[q] : nullptr);
       if (grads[0] != nullptr) grads[0][q] = grad[0];
       if (grads[1] != nullptr) grads[1][q] = grad[1];
       if (grads[2] != nullptr) grads[2][q] = grad[2];
@@ -292,6 +311,7 @@ void GridInterpolator::AtWithGradBatch(size_t count,
   for (size_t q = 0; q < count; ++q) {
     for (size_t d = 0; d < dims; ++d) point[d] = coords[d][q];
     out[q] = ValueGradCore(point, dims, grad);
+    if (at_out != nullptr) at_out[q] = ValueCore(point, dims);
     for (size_t d = 0; d < dims; ++d) {
       if (grads[d] != nullptr) grads[d][q] = grad[d];
     }

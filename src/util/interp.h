@@ -58,9 +58,14 @@ class GridInterpolator {
 
   /// Batched AtWithGrad: `grads[d]` receives the axis-d partials of every
   /// query; a null `grads[d]` skips that axis (callers that never need a
-  /// size derivative, say, pay nothing for it).
+  /// size derivative, say, pay nothing for it). A non-null `at_out` also
+  /// receives every query's value exactly as AtBatch returns it, from the
+  /// same cell location: the value and value+gradient kernels round the
+  /// same interpolant differently in the last place, and a caller pricing
+  /// a value and a gradient in one pass (the solver's fused line-search
+  /// pass) needs each with its own kernel's rounding.
   void AtWithGradBatch(size_t count, const double* const* coords, double* out,
-                       double* const* grads) const;
+                       double* const* grads, double* at_out = nullptr) const;
 
   size_t dimensions() const { return axes_.size(); }
   const std::vector<std::vector<double>>& axes() const { return axes_; }
@@ -82,8 +87,11 @@ class GridInterpolator {
   /// batched evaluators' profile). Values agree with ValueCore to rounding
   /// (different association order), so only the batch entry points use
   /// them; the scalar At/AtWithGrad keep their historical bit patterns.
+  /// `value3_out`, when non-null, also receives Value3(point) — computed
+  /// from the same cell location.
   double Value3(const double* point) const;
-  double ValueGrad3(const double* point, double* grad_out) const;
+  double ValueGrad3(const double* point, double* grad_out,
+                    double* value3_out = nullptr) const;
 
   std::vector<std::vector<double>> axes_;
   std::vector<double> values_;

@@ -11,6 +11,7 @@
 #include "model/workload.h"
 #include "storage/disk.h"
 #include "storage/ssd.h"
+#include "util/random.h"
 #include "util/units.h"
 
 namespace ldb {
@@ -340,6 +341,44 @@ TEST(CostModelTest, ClampsOutsideGrid) {
   EXPECT_DOUBLE_EQ(m.ReadCost(8 * kKiB, 1, 100), m.ReadCost(8 * kKiB, 1, 2));
   EXPECT_DOUBLE_EQ(m.ReadCost(4 * kKiB, 1, 0), m.ReadCost(8 * kKiB, 1, 0));
   EXPECT_DOUBLE_EQ(m.ReadCost(8 * kKiB, 500, 0), m.ReadCost(8 * kKiB, 16, 0));
+}
+
+TEST(CostModelTest, FusedBatchPricesBothRoundings) {
+  // The fused batch's optional value output must be exactly what the
+  // value batch returns, and asking for it must not move a bit of the
+  // gradient batch's own outputs (the solver sums µ_j from the one and
+  // its gradient from the other).
+  CostModel m = MakeSyntheticCostModel();
+  Rng rng(12);
+  const size_t count = 4000;
+  std::vector<double> log2_size(count), log2_run(count), run(count),
+      chi(count);
+  for (size_t q = 0; q < count; ++q) {
+    log2_size[q] = rng.Uniform(12.0, 17.0);  // 4 KiB .. 128 KiB, clamps
+    run[q] = rng.Uniform(0.5, 24.0);
+    log2_run[q] = std::log2(run[q]);
+    chi[q] = q % 5 == 0 ? 1e30 : rng.Uniform(-0.5, 3.0);
+  }
+  for (const bool write : {false, true}) {
+    std::vector<double> value(count), cost(count), d_run(count),
+        d_chi(count), fused_value(count), fused_cost(count),
+        fused_d_run(count), fused_d_chi(count);
+    m.CostBatchLog2(write, count, log2_size.data(), log2_run.data(),
+                    chi.data(), value.data());
+    m.CostWithGradBatchLog2(write, count, log2_size.data(), log2_run.data(),
+                            run.data(), chi.data(), cost.data(),
+                            d_run.data(), d_chi.data());
+    m.CostWithGradBatchLog2(write, count, log2_size.data(), log2_run.data(),
+                            run.data(), chi.data(), fused_cost.data(),
+                            fused_d_run.data(), fused_d_chi.data(),
+                            fused_value.data());
+    for (size_t q = 0; q < count; ++q) {
+      EXPECT_EQ(fused_value[q], value[q]) << "q=" << q;
+      EXPECT_EQ(fused_cost[q], cost[q]) << "q=" << q;
+      EXPECT_EQ(fused_d_run[q], d_run[q]) << "q=" << q;
+      EXPECT_EQ(fused_d_chi[q], d_chi[q]) << "q=" << q;
+    }
+  }
 }
 
 TEST(CostModelTest, RoundTripsThroughText) {

@@ -1418,6 +1418,99 @@ TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
   }
 }
 
+/// Three targets, one per RAID organization — RAID0 over 4 members, RAID1
+/// over 2, RAID5 over 4, whose writes price the three-lookup parity
+/// template — with mixed request sizes so some requests span several
+/// chunks. Object 0 co-accesses nothing (zero off-diagonal row and
+/// column), so it never interferes with anything and nothing interferes
+/// with it.
+GradientInstance MakeRaidGradientInstance(int n, Rng* rng) {
+  GradientInstance gi = MakeGradientInstance(n, 3, rng);
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = (*gi.workloads)[static_cast<size_t>(i)];
+    if (i % 2 == 1) w.write_size = 256 * kKiB;
+    if (i % 3 == 2) w.read_size = 512 * kKiB;
+    if (i != 0) {
+      w.overlap[0] = 0.0;
+      (*gi.workloads)[0].overlap[static_cast<size_t>(i)] = 0.0;
+    }
+  }
+  const std::vector<TargetModelInfo> infos{
+      {gi.cost.get(), 4, 64 * kKiB, RaidLevel::kRaid0},
+      {gi.cost.get(), 2, 64 * kKiB, RaidLevel::kRaid1},
+      {gi.cost.get(), 4, 64 * kKiB, RaidLevel::kRaid5}};
+  gi.model = std::make_unique<TargetModel>(infos, LvmLayoutModel(64 * kKiB));
+  const TargetModel* model = gi.model.get();
+  const WorkloadSet* ws = gi.workloads.get();
+  gi.nlp.target_utilization = [model, ws](const Layout& l, int j) {
+    return model->TargetUtilization(*ws, l, j);
+  };
+  gi.nlp.make_column_eval = [model, ws](int j) {
+    return model->MakeColumnEvaluator(*ws, j);
+  };
+  return gi;
+}
+
+TEST_P(GradientProperty, AbsentCellsMatchFreshEvaluatorAndDifferences) {
+  // An absent cell (L_ij = 0) takes its gradient from limit prices the
+  // evaluator caches at construction: χ clamped when something present
+  // interferes with the object (I_i > 0), else the object's diagonal.
+  // Layouts, in the order one evaluator per column prices them:
+  //   present  every object on every target;
+  //   absent   objects 0 and 1 on no target — object 0 has no
+  //            interferers, object 1 has co-located ones;
+  //   alone    only object 0 on target 0, so every absent object there
+  //            (object 1 included) has nothing interfering with it.
+  // Each value and gradient of the reused evaluator must equal a fresh
+  // evaluator's bit for bit, the fused pass's value must equal the value
+  // pass's, and every gradient entry must bracket the one-sided
+  // differences.
+  Rng rng(GetParam() + 2000);
+  const int n = 5 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+  const int m = 3;
+  GradientInstance gi = MakeRaidGradientInstance(n, &rng);
+  Layout present(n, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) present.Set(i, j, rng.Uniform(0.1, 1.0));
+    ProjectToSimplex(present.Row(i), static_cast<size_t>(m));
+    for (int j = 0; j < m; ++j) {
+      present.Set(i, j, std::max(present.At(i, j), 0.05));
+    }
+  }
+  Layout absent = present;
+  for (int j = 0; j < m; ++j) {
+    absent.Set(0, j, 0.0);
+    absent.Set(1, j, 0.0);
+  }
+  Layout alone = absent;
+  alone.Set(0, 0, 0.9);
+  for (int i = 1; i < n; ++i) alone.Set(i, 0, 0.0);
+
+  const std::vector<const Layout*> sequence{&present, &absent, &present,
+                                            &alone, &absent, &alone};
+  std::vector<double> grad(static_cast<size_t>(n));
+  std::vector<double> fresh_grad(static_cast<size_t>(n));
+  for (int j = 0; j < m; ++j) {
+    std::unique_ptr<ColumnEvaluator> reused = gi.nlp.make_column_eval(j);
+    for (size_t step = 0; step < sequence.size(); ++step) {
+      const Layout& layout = *sequence[step];
+      const double v = reused->EvaluateWithGradient(layout, grad.data());
+      std::unique_ptr<ColumnEvaluator> fresh = gi.nlp.make_column_eval(j);
+      EXPECT_EQ(v, fresh->EvaluateWithGradient(layout, fresh_grad.data()))
+          << "j=" << j << " step=" << step;
+      EXPECT_EQ(v, reused->Evaluate(layout)) << "j=" << j << " step=" << step;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(grad[static_cast<size_t>(i)],
+                  fresh_grad[static_cast<size_t>(i)])
+            << "i=" << i << " j=" << j << " step=" << step;
+      }
+    }
+  }
+  CheckGradientContainment(gi.nlp, present, n, m);
+  CheckGradientContainment(gi.nlp, absent, n, m);
+  CheckGradientContainment(gi.nlp, alone, n, m);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GradientProperty,
                          ::testing::Range(uint64_t{40}, uint64_t{48}));
 

@@ -1,15 +1,28 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/initial.h"
+#include "core/problem.h"
+#include "core/replan.h"
+#include "model/cost_model.h"
+#include "model/target_model.h"
+#include "model/workload.h"
 #include "solver/layout_nlp.h"
 #include "solver/multistart.h"
 #include "solver/projected_gradient.h"
 #include "solver/randomized.h"
 #include "solver/simplex.h"
 #include "toy_nlp.h"
+#include "util/check.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -314,6 +327,261 @@ TEST(RandomizedSearchTest, DeterministicForEqualSeeds) {
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->max_utilization, b->max_utilization);
   EXPECT_TRUE(a->layout == b->layout);
+}
+
+// ------------------------------------------------- Bit-identity regression
+
+/// FNV-1a over raw bytes, continuing from `h`.
+uint64_t Fnv1a(const void* data, size_t bytes,
+               uint64_t h = 14695981039346656037ull) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t b = 0; b < bytes; ++b) {
+    h ^= p[b];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Hash of a solve's layout (raw doubles, row-major) and max utilization.
+uint64_t LayoutBits(const Layout& layout, double max_utilization) {
+  uint64_t h = Fnv1a(&max_utilization, sizeof(max_utilization));
+  for (int i = 0; i < layout.num_objects(); ++i) {
+    h = Fnv1a(layout.Row(i),
+              sizeof(double) * static_cast<size_t>(layout.num_targets()), h);
+  }
+  return h;
+}
+
+/// Synthetic cost grid (no device calibration): cost grows with size and
+/// contention and shrinks with run length; χ tops out at 4, so contended
+/// objects reach the clamped end of the axis.
+CostModel MakeRegressionCostModel() {
+  std::vector<double> sizes{static_cast<double>(4 * kKiB),
+                            static_cast<double>(64 * kKiB),
+                            static_cast<double>(1024 * kKiB)};
+  std::vector<double> runs{1, 8, 64};
+  std::vector<double> chis{0, 0.5, 1, 2, 4};
+  std::vector<double> reads, writes;
+  for (double s : sizes) {
+    for (double q : runs) {
+      for (double c : chis) {
+        const double v = 0.0015 * std::sqrt(s / (4 * kKiB)) *
+                         (1.0 + 0.6 * c) / std::sqrt(q);
+        reads.push_back(v);
+        writes.push_back(1.3 * v);
+      }
+    }
+  }
+  auto m = CostModel::Create("regression", sizes, runs, chis, reads, writes);
+  LDB_CHECK(m.ok());
+  return std::move(m).value();
+}
+
+/// A LayoutProblem over `m` targets that cycle through RAID0x4, RAID1x2,
+/// RAID5x4 and single-disk geometries (all on one cost model). Objects
+/// co-access within tenants of `tenant` (dense rows, or CSR rows when
+/// `sparse`), plus one weak cross-tenant link now and then.
+LayoutProblem MakeRegressionProblem(int n, int m, int tenant, bool sparse,
+                                    bool mixed_raid, double rate_scale,
+                                    const CostModel* cost, uint64_t seed) {
+  Rng rng(seed);
+  LayoutProblem p;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    p.object_names.push_back("obj" + std::to_string(i));
+    const int64_t size = rng.UniformInt(int64_t{64}, int64_t{512}) * kMiB;
+    p.object_sizes.push_back(size);
+    p.object_kinds.push_back(ObjectKind::kTable);
+    total += size;
+    WorkloadDesc w;
+    const double heat = rng.Uniform();
+    w.read_rate = rate_scale * (2.0 + 400.0 * heat * heat * heat);
+    w.read_size = rng.Uniform() < 0.5 ? 64 * kKiB : 512 * kKiB;
+    w.write_rate = w.read_rate * rng.Uniform(0.0, 0.3);
+    w.write_size = rng.Uniform() < 0.5 ? 8 * kKiB : 256 * kKiB;
+    w.run_count = rng.Uniform(1.0, 48.0);
+    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    const int lo = (i / tenant) * tenant;
+    const int hi = std::min(n, lo + tenant);
+    for (int k = lo; k < hi; ++k) {
+      if (k != i) w.overlap[static_cast<size_t>(k)] = rng.Uniform(0.05, 0.6);
+    }
+    w.overlap[static_cast<size_t>(i)] = rng.Uniform(0.0, 1.5);
+    if (rng.Uniform() < 0.5) {
+      const int k = static_cast<int>(
+          rng.UniformInt(int64_t{0}, static_cast<int64_t>(n) - 1));
+      if (k < lo || k >= hi) {
+        w.overlap[static_cast<size_t>(k)] = rng.Uniform(0.01, 0.1);
+      }
+    }
+    p.workloads.push_back(std::move(w));
+  }
+  if (sparse) SparsifyOverlap(&p.workloads);
+  for (int j = 0; j < m; ++j) {
+    AdvisorTarget t;
+    t.name = "t" + std::to_string(j);
+    t.capacity_bytes = total * 8 / (5 * m) + kMiB;  // 1.6x the data
+    t.cost_model = cost;
+    if (mixed_raid) {
+      switch (j % 4) {
+        case 0:
+          t.num_members = 4;
+          break;
+        case 1:
+          t.num_members = 2;
+          t.raid_level = RaidLevel::kRaid1;
+          break;
+        case 2:
+          t.num_members = 4;
+          t.raid_level = RaidLevel::kRaid5;
+          break;
+        default:
+          break;
+      }
+    }
+    p.targets.push_back(std::move(t));
+  }
+  LDB_CHECK(p.Validate().ok());
+  return p;
+}
+
+/// The advisor's seeding: the initial layout plus `random_seeds` random
+/// simplex rows.
+std::vector<Layout> AdvisorSeeds(const LayoutProblem& p,
+                                 const LayoutNlpProblem& nlp,
+                                 int random_seeds) {
+  auto initial = InitialLayout(p);
+  LDB_CHECK(initial.ok());
+  Rng rng(11);
+  std::vector<Layout> seeds =
+      MultiStartSolver::RandomSeeds(nlp, random_seeds, &rng);
+  seeds.insert(seeds.begin(), std::move(initial).value());
+  return seeds;
+}
+
+uint64_t SolveBits(const LayoutNlpProblem& nlp,
+                   const std::vector<Layout>& seeds) {
+  auto r = MultiStartSolver().Solve(nlp, seeds);
+  LDB_CHECK(r.ok());
+  return LayoutBits(r->layout, r->max_utilization);
+}
+
+/// True when this build matches the one the hashes below were recorded
+/// on: GCC 12, kernels compiled with AVX2+FMA, no sanitizer instrumentation
+/// (RelWithDebInfo and Release agree). Floating-point bit patterns depend
+/// on which products the compiler fuses into FMAs and how it vectorizes, so
+/// other toolchains and instrumented builds produce different bits.
+constexpr bool kBitsRecordedForThisBuild =
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    defined(LDB_SIMD_KERNEL_FLAGS) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+    true;
+#else
+    false;
+#endif
+
+/// Checks one solve's hash against the recorded one. On a build the hashes
+/// were not recorded on, checks instead that the solve repeats bit for bit,
+/// and prints the hash it saw.
+void ExpectRecordedBits(const char* name, uint64_t recorded,
+                        const std::function<uint64_t()>& solve) {
+  const uint64_t got = solve();
+  if (kBitsRecordedForThisBuild) {
+    EXPECT_EQ(got, recorded) << name;
+    return;
+  }
+  EXPECT_EQ(solve(), got) << name << ": the solve is not deterministic";
+  std::printf("[ unrecorded build ] %s: 0x%016llx\n", name,
+              static_cast<unsigned long long>(got));
+}
+
+// The solver's result is a pure function of its input, so a speedup of the
+// evaluation engine must leave these hashes unchanged. They were recorded
+// before the absent-cell limit-price cache and the fused line-search
+// gradient; a change that moves one changes what the advisor returns and
+// must say so.
+TEST(SolverRegressionTest, LayoutBitsUnchanged) {
+  const CostModel cost = MakeRegressionCostModel();
+
+  {
+    const LayoutProblem p =
+        MakeRegressionProblem(24, 6, 4, false, true, 0.25, &cost, 101);
+    const TargetModel model = p.MakeTargetModel();
+    const LayoutNlpProblem nlp = p.MakeNlp(&model);
+    ExpectRecordedBits("dense consolidation, mixed RAID",
+                       0xde0c8aac23e4d370ull,
+                       [&] { return SolveBits(nlp, AdvisorSeeds(p, nlp, 2)); });
+  }
+
+  const LayoutProblem fleet =
+      MakeRegressionProblem(160, 16, 8, true, false, 0.09, &cost, 202);
+  const TargetModel fleet_model = fleet.MakeTargetModel();
+  {
+    const LayoutNlpProblem nlp = fleet.MakeNlp(&fleet_model);
+    ExpectRecordedBits(
+        "sparse tenants, N=160 M=16", 0xcfe5a5db821e04d6ull,
+        [&] { return SolveBits(nlp, AdvisorSeeds(fleet, nlp, 1)); });
+  }
+
+  {
+    auto current = InitialLayout(fleet);
+    ASSERT_TRUE(current.ok());
+    TargetHealth health = TargetHealth::Healthy(fleet.num_targets());
+    health.MarkFailed(3);
+    health.Derate(5, 0.5);
+    ExpectRecordedBits(
+        "replan: failed + derated column", 0xc488ab12f1496382ull, [&] {
+          auto replan = ReplanAfterFailure(fleet, *current, health);
+          LDB_CHECK(replan.ok());
+          return LayoutBits(replan->layout, replan->max_utilization);
+        });
+
+    // The polish solve itself, as ReplanAfterFailure shapes it: rows off
+    // the failed target frozen, the failed target disallowed, every
+    // column priced µ_j / derate_j.
+    LayoutNlpProblem nlp = fleet.MakeNlp(&fleet_model);
+    const int n = fleet.num_objects();
+    nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
+    std::vector<int> survivors;
+    for (int j = 0; j < fleet.num_targets(); ++j) {
+      if (!health.IsFailed(j)) survivors.push_back(j);
+    }
+    nlp.constraints.allowed_targets.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      if (current->At(i, 3) > 0.0) {
+        nlp.frozen_rows[static_cast<size_t>(i)] = 0;
+        nlp.constraints.allowed_targets[static_cast<size_t>(i)] = survivors;
+      }
+    }
+    auto column = nlp.make_column_eval;
+    nlp.make_column_eval = [column, &health](int j) {
+      return DerateColumnEvaluator(
+          column(j), health.IsFailed(j)
+                         ? 0.0
+                         : health.derate[static_cast<size_t>(j)]);
+    };
+    nlp.target_utilization = nullptr;
+    ExpectRecordedBits("replan polish: frozen rows, derated columns",
+                       0xa5a2636190b812d1ull,
+                       [&] { return SolveBits(nlp, {*current}); });
+  }
+
+  {
+    LayoutProblem p =
+        MakeRegressionProblem(20, 5, 5, false, true, 0.2, &cost, 303);
+    p.constraints.allowed_targets.resize(20);
+    p.constraints.allowed_targets[0] = {0, 1};
+    p.constraints.allowed_targets[3] = {2, 3, 4};
+    p.constraints.allowed_targets[7] = {1};
+    p.constraints.allowed_targets[12] = {0, 4};
+    p.constraints.separate = {{1, 2}, {5, 6}, {10, 15}};
+    ASSERT_TRUE(p.Validate().ok());
+    const TargetModel model = p.MakeTargetModel();
+    const LayoutNlpProblem nlp = p.MakeNlp(&model);
+    ExpectRecordedBits("allowed-target and separation constraints",
+                       0xe4ac16f5b198bcd2ull,
+                       [&] { return SolveBits(nlp, AdvisorSeeds(p, nlp, 2)); });
+  }
 }
 
 }  // namespace

@@ -173,8 +173,8 @@ SolverOptions FastOptions() {
 }
 
 TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
-  // The gradient sweep fans one fused kernel pass per column over the
-  // pool; entries land in disjoint dmu spans and all reductions are
+  // Every refresh fans one fused kernel pass per column over the pool;
+  // entries land in disjoint dmu spans and all reductions are
   // serial, so the whole solve must be invariant in the thread count —
   // layout, objective, and every effort counter. Checked on dense overlap
   // rows and on sparse CSR rows (3 neighbors per object), whose kernels

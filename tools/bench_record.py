@@ -38,14 +38,29 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def git_rev():
+def git_rev(trajectory=None):
+    """Short HEAD revision, with "-dirty" appended when tracked files have
+    uncommitted changes: such a run measured code that is not the commit
+    it names. Changes to `trajectory` (the file being appended to, which
+    an earlier record in the same session may have touched) do not
+    count."""
+    status_cmd = ["git", "-C", str(REPO_ROOT), "status", "--porcelain",
+                  "--untracked-files=no"]
+    if trajectory is not None:
+        path = Path(trajectory).resolve()
+        if path.is_relative_to(REPO_ROOT):
+            status_cmd += ["--", ".",
+                           f":(exclude){path.relative_to(REPO_ROOT)}"]
     try:
         out = subprocess.run(
             ["git", "-C", str(REPO_ROOT), "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        status = subprocess.run(status_cmd, capture_output=True, text=True,
+                                check=True)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    rev = out.stdout.strip()
+    return rev + "-dirty" if status.stdout.strip() else rev
 
 
 def extract_rows(text):
@@ -137,7 +152,7 @@ def main():
         "bench": args.bench,
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc)
             .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "git_rev": git_rev(),
+        "git_rev": git_rev(out_path),
         "rows": rows,
     }
     if args.note:
