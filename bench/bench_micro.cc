@@ -8,6 +8,7 @@
 // benchmark binary in this repo shares one machine-readable flag.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -535,16 +536,77 @@ BENCHMARK(BM_RegularizeSparse)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexProjection(benchmark::State& state) {
+  // One row projection. solver_row:0 rows are uniform in [-1, 2); the
+  // solver_row:1 row is shaped like the rows the solver projects on a
+  // 16-target fleet problem: ~6 targets hold the object on the
+  // simplex, and a step against a nonnegative gradient moves the row off
+  // it, further on the targets not holding the object — those the solver
+  // moved it away from, whose gradient entries are the larger ones. Rows
+  // come from a pregenerated pool so the timing holds the projection only.
   const size_t n = static_cast<size_t>(state.range(0));
+  const bool solver_row = state.range(1) != 0;
   Rng rng(4);
+  const size_t pool = 1024;
+  std::vector<double> rows(pool * n);
+  for (size_t r = 0; r < pool; ++r) {
+    double* row = &rows[r * n];
+    if (!solver_row) {
+      for (size_t j = 0; j < n; ++j) row[j] = rng.Uniform(-1, 2);
+      continue;
+    }
+    std::fill(row, row + n, 0.0);
+    for (int s = 0; s < 6; ++s) row[rng.UniformInt(n)] = rng.Uniform(0.05, 1);
+    ProjectToSimplex(row, n);
+    const double step = std::pow(10.0, rng.Uniform(-5, -1));
+    for (size_t j = 0; j < n; ++j) {
+      row[j] -= step * (row[j] > 0.0 ? rng.Uniform(0, 1) : rng.Uniform(0.5, 5));
+    }
+  }
   std::vector<double> v(n);
+  std::vector<double> scratch;
+  size_t r = 0;
   for (auto _ : state) {
-    for (auto& x : v) x = rng.Uniform(-1, 2);
-    ProjectToSimplex(v.data(), n);
+    std::copy_n(&rows[r * n], n, v.data());
+    r = r + 1 == pool ? 0 : r + 1;
+    ProjectToSimplex(v.data(), n, 1.0, &scratch);
     benchmark::DoNotOptimize(v.data());
   }
 }
-BENCHMARK(BM_SimplexProjection)->Arg(4)->Arg(40);
+BENCHMARK(BM_SimplexProjection)
+    ->ArgNames({"n", "solver_row"})
+    ->Args({4, 0})
+    ->Args({40, 0})
+    ->Args({16, 1});
+
+void BM_CostWithGradBatch(benchmark::State& state) {
+  // The column pass's lookup kernel: one batch of fused value+gradient
+  // cost-table queries (log2 size, log2 run, χ) spread over a calibrated
+  // model's axes, some beyond their ends. Items are queries.
+  const CostModel& model = SharedCostModel();
+  const size_t count = static_cast<size_t>(state.range(0));
+  Rng rng(6);
+  std::vector<double> log2_size(count), log2_run(count), run(count),
+      chi(count);
+  for (size_t q = 0; q < count; ++q) {
+    log2_size[q] = rng.Uniform(12, 20);
+    run[q] = rng.Uniform(1, 128);
+    log2_run[q] = std::log2(run[q]);
+    chi[q] = rng.Uniform(0, 12);
+  }
+  std::vector<double> cost(count), d_run(count), d_chi(count),
+      value_cost(count);
+  for (auto _ : state) {
+    model.CostWithGradBatchLog2(false, count, log2_size.data(),
+                                log2_run.data(), run.data(), chi.data(),
+                                cost.data(), d_run.data(), d_chi.data(),
+                                value_cost.data());
+    benchmark::DoNotOptimize(cost.data());
+    benchmark::DoNotOptimize(value_cost.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(count));
+}
+BENCHMARK(BM_CostWithGradBatch)->Arg(256);
 
 void BM_SolverSmallProblem(benchmark::State& state) {
   const int n = 10, m = 4;

@@ -85,9 +85,7 @@ LayoutNlpProblem LayoutProblem::MakeNlp(const TargetModel* model) const {
                                                   int j) {
     return model->TargetUtilization(*workloads_ptr, layout, j);
   };
-  nlp.make_column_eval = [model, workloads_ptr](int j) {
-    return model->MakeColumnEvaluator(*workloads_ptr, j);
-  };
+  nlp.make_column_eval = model->ColumnEvaluators(workloads);
   return nlp;
 }
 

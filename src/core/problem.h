@@ -53,8 +53,10 @@ struct LayoutProblem {
   /// Builds the performance model for these targets.
   TargetModel MakeTargetModel() const;
 
-  /// Builds the solver-facing NLP. `model` must outlive the returned
-  /// problem (the utilization callback captures it).
+  /// Builds the solver-facing NLP. `model` and this problem must outlive
+  /// the returned problem (its callbacks capture both), and `workloads`
+  /// must not change while it is in use: its column evaluators share a
+  /// reverse overlap index built from them here.
   LayoutNlpProblem MakeNlp(const TargetModel* model) const;
 };
 

@@ -12,12 +12,14 @@ class Layout;
 ///
 /// The solver prices each line-search trial with one fused value+gradient
 /// pass per column. Implementations batch their interpolator queries over
-/// structure-of-arrays buffers, so a pass costs one O(N²) (O(nnz) for
-/// sparse overlap rows) interference product plus table lookups for the
-/// objects present on the column only; absent objects' gradients come from
-/// limit prices built once, at construction. Evaluators are independent:
-/// the solver holds one per column and calls them concurrently from
-/// different threads.
+/// structure-of-arrays buffers, so a pass costs what the column's present
+/// objects cost: their layout transforms, their overlap rows' interference
+/// products and cross-term scatters, and their table lookups. An absent
+/// object costs one "does a present object interfere with it" bit, set by
+/// a scatter over the present objects' reverse overlap entries, and an O(1)
+/// gradient entry from limit prices built once, at construction. Evaluators
+/// are independent: the solver holds one per column and calls them
+/// concurrently from different threads.
 class ColumnEvaluator {
  public:
   virtual ~ColumnEvaluator() = default;

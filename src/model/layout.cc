@@ -14,15 +14,6 @@ Layout::Layout(int num_objects, int num_targets)
   data_.assign(static_cast<size_t>(n_) * static_cast<size_t>(m_), 0.0);
 }
 
-size_t Layout::Index(int i, int j) const {
-  LDB_CHECK_GE(i, 0);
-  LDB_CHECK_LT(i, n_);
-  LDB_CHECK_GE(j, 0);
-  LDB_CHECK_LT(j, m_);
-  return static_cast<size_t>(i) * static_cast<size_t>(m_) +
-         static_cast<size_t>(j);
-}
-
 double Layout::RowSum(int i) const {
   double sum = 0.0;
   for (int j = 0; j < m_; ++j) sum += At(i, j);

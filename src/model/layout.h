@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
 #include "util/status.h"
 
 namespace ldb {
@@ -32,6 +33,9 @@ class Layout {
   /// Mutable raw row access (length M), used by the solver.
   double* Row(int i) { return &data_[Index(i, 0)]; }
   const double* Row(int i) const { return &data_[Index(i, 0)]; }
+
+  /// The whole matrix, row-major (N x M): column j is data()[i·M + j].
+  const double* data() const { return data_.data(); }
 
   /// Sum of row i (should be 1 for valid layouts).
   double RowSum(int i) const;
@@ -83,7 +87,15 @@ class Layout {
   }
 
  private:
-  size_t Index(int i, int j) const;
+  // Inline: the column evaluators and the regularizer call it per cell.
+  size_t Index(int i, int j) const {
+    LDB_CHECK_GE(i, 0);
+    LDB_CHECK_LT(i, n_);
+    LDB_CHECK_GE(j, 0);
+    LDB_CHECK_LT(j, m_);
+    return static_cast<size_t>(i) * static_cast<size_t>(m_) +
+           static_cast<size_t>(j);
+  }
 
   int n_;
   int m_;

@@ -198,8 +198,8 @@ double TargetModel::MaxUtilization(const WorkloadSet& workloads,
 
 namespace {
 
-/// The column evaluator behind TargetModel::MakeColumnEvaluator: µ_j and
-/// its exact gradient in one structure-of-arrays pass:
+/// The column evaluator behind TargetModel::ColumnEvaluators: µ_j and its
+/// exact gradient in one structure-of-arrays pass:
 ///
 ///   µ_j = Σ_i µ_ij,   µ_ij = λ^R_ij·mcR_i + λ^W_ij·mcW_i
 ///
@@ -216,25 +216,50 @@ namespace {
 ///
 /// with λ_i the object's total rate, r_i = λ_i·f_i its on-target rate and
 /// I_i its interference accumulator. The cross sum over all i is one
-/// transposed overlap-matrix·vector product — the same O(N²) asymptotics
-/// as the interference accumulators, but a two-op inner loop over
-/// contiguous arrays. All interpolator queries of the pass run through the
-/// cost model's batched fused value+gradient lookups, for present objects
-/// only: an absent object's mc terms are limit prices cached at
-/// construction, and only its rate-scale term is non-zero.
+/// transposed overlap-matrix·vector product, scattered from the present
+/// rows. A pass costs what the column's present cells cost: it lists the
+/// present objects first, in ascending index order, and runs the layout
+/// transform, the interference dots, the cost-table lookups and the χ
+/// terms over that list only, so every sum keeps the order (and the bits)
+/// of a sweep over all objects that skips the absent ones. Of an absent
+/// object the pass needs one bit, whether anything present interferes with
+/// it; its mc terms are limit prices cached at construction, and only its
+/// rate-scale and cross terms are non-zero.
 class TargetColumnContext final : public ColumnEvaluator {
  public:
   /// Builds everything that depends only on the workloads and the target:
-  /// overlap diagonals, the query template and the absent-object limit
-  /// prices (one gradient-pass worth of lookups, paid once).
+  /// overlap diagonals, per-object rates, the query template, the
+  /// absent-object limit prices (one gradient-pass worth of lookups, paid
+  /// once) and every scratch buffer a pass uses.
   TargetColumnContext(const TargetModel* model, const WorkloadSet* workloads,
-                      int j)
-      : model_(model), workloads_(workloads), j_(j) {
+                      std::shared_ptr<const ReverseOverlap> reverse, int j)
+      : model_(model),
+        workloads_(workloads),
+        reverse_(std::move(reverse)),
+        j_(j) {
     const size_t un = workloads_->size();
+    LDB_CHECK_EQ(reverse_->begin.size(), un + 1);
     diag_.resize(un);
+    read_rate_.resize(un);
+    write_rate_.resize(un);
+    total_rate_.resize(un);
     for (size_t i = 0; i < un; ++i) {
-      diag_[i] = (*workloads_)[i].overlap_with(i);
+      const WorkloadDesc& w = (*workloads_)[i];
+      diag_[i] = w.overlap_with(i);
+      read_rate_[i] = w.read_rate;
+      write_rate_[i] = w.write_rate;
+      total_rate_[i] = w.total_rate();
     }
+    present_.resize(un);
+    for (std::vector<double>* v :
+         {&frac_, &prate_, &pread_, &pwrite_, &prun_, &interf_, &slope_, &ck_,
+          &mc_read_, &mc_write_, &grad_mc_read_, &grad_mc_write_, &drun_read_,
+          &drun_write_, &dchi_read_, &dchi_write_}) {
+      v->resize(un);
+    }
+    rate_.assign(un, 0.0);
+    cross_.resize(un);
+    neighbor_.resize(un);
     BuildQueryTemplate(model_->target_info(j_), un);
     BuildLimitPrices(un);
   }
@@ -263,31 +288,34 @@ class TargetColumnContext final : public ColumnEvaluator {
     double coef;       ///< member-cost coefficient (involved/k, rows/k, …)
   };
 
-  /// Structure-of-arrays buffers for one table's queries of a pass. Size
-  /// and run coordinates are kept in the cost tables' log2 domain; the raw
-  /// run count rides along only for the d_run chain rule. `cost` holds the
-  /// prices as the value kernel rounds them, `grad_cost` as the gradient
-  /// kernel does (the two differ in the last place).
+  /// Structure-of-arrays buffers for one table's queries of a pass, sized
+  /// at construction for every object's template and filled by index: the
+  /// first `size` entries are the pass's queries. Size and run coordinates
+  /// are kept in the cost tables' log2 domain; the raw run count rides
+  /// along only for the d_run chain rule. `cost` holds the prices as the
+  /// value kernel rounds them, `grad_cost` as the gradient kernel does (the
+  /// two differ in the last place). `obj` is the slot the query's member
+  /// costs accumulate into.
   struct QueryBatch {
+    size_t size = 0;
     std::vector<double> log2_size, log2_run, run, chi, coef, cost, grad_cost,
         d_run, d_chi;
-    std::vector<int> obj;
+    std::vector<int32_t> obj;
     std::vector<char> role;  // 1 = write-role
 
-    void Clear() {
-      log2_size.clear();
-      log2_run.clear();
-      run.clear();
-      chi.clear();
-      coef.clear();
-      obj.clear();
-      role.clear();
+    void Resize(size_t capacity) {
+      for (std::vector<double>* v : {&log2_size, &log2_run, &run, &chi, &coef,
+                                     &cost, &grad_cost, &d_run, &d_chi}) {
+        v->resize(capacity);
+      }
+      obj.resize(capacity);
+      role.resize(capacity);
     }
   };
 
   /// Mirrors PerObjectUtilization's member_cost structure into per-object
   /// query templates (one flattened list, per-object spans in
-  /// tmpl_begin_).
+  /// tmpl_begin_), and sizes each table's batch for all of them.
   void BuildQueryTemplate(const TargetModelInfo& tgt, size_t un) {
     tmpl_.clear();
     tmpl_begin_.assign(un + 1, 0);
@@ -331,6 +359,10 @@ class TargetColumnContext final : public ColumnEvaluator {
       }
       tmpl_begin_[i + 1] = tmpl_.size();
     }
+    size_t per_table[2] = {0, 0};
+    for (const QueryTemplate& t : tmpl_) ++per_table[t.write_table ? 1 : 0];
+    qb_[0].Resize(per_table[0]);
+    qb_[1].Resize(per_table[1]);
   }
 
   /// Transform's run count in the fraction → 0+ limit: the round-robin
@@ -346,25 +378,27 @@ class TargetColumnContext final : public ColumnEvaluator {
   }
 
   /// Appends object i's template queries at run count `run` and contention
-  /// factor `chi` to the pass's per-table batches.
-  void GatherQueries(size_t i, double run, double chi) {
+  /// factor `chi` to the pass's per-table batches, accumulating into slot
+  /// `slot`.
+  void GatherQueries(size_t slot, size_t i, double run, double chi) {
     const double log2_run = std::log2(run);  // once per object, not query
     for (size_t q = tmpl_begin_[i]; q < tmpl_begin_[i + 1]; ++q) {
       const QueryTemplate& t = tmpl_[q];
       QueryBatch& b = qb_[t.write_table ? 1 : 0];
-      b.log2_size.push_back(t.log2_size);
-      b.log2_run.push_back(log2_run);
-      b.run.push_back(run);
-      b.chi.push_back(chi);
-      b.coef.push_back(t.coef);
-      b.obj.push_back(static_cast<int>(i));
-      b.role.push_back(t.write_role ? 1 : 0);
+      const size_t s = b.size++;
+      b.log2_size[s] = t.log2_size;
+      b.log2_run[s] = log2_run;
+      b.run[s] = run;
+      b.chi[s] = chi;
+      b.coef[s] = t.coef;
+      b.obj[s] = static_cast<int32_t>(slot);
+      b.role[s] = t.write_role ? 1 : 0;
     }
   }
 
   /// Runs the gathered batches through the cost tables (read table, then
-  /// write table) and accumulates each object's member costs in that
-  /// order: with `value`, the value kernel's prices into mc_*; with
+  /// write table) and accumulates the member costs of slots [0, slots) in
+  /// that order: with `value`, the value kernel's prices into mc_*; with
   /// `gradient`, the gradient kernel's into grad_mc_* together with the
   /// run and χ partials. µ_j is summed from the former and ∂µ_j/∂L_ij from
   /// the latter, so a fused pass returns the value-only pass's µ_j bit for
@@ -374,30 +408,26 @@ class TargetColumnContext final : public ColumnEvaluator {
   /// products the compiler fuses into FMAs — so the sums' last bits —
   /// would then depend on the caller (the limit-price build must round
   /// exactly as the gradient pass does).
-  [[gnu::noinline]] void PriceQueries(size_t un, bool value, bool gradient) {
+  [[gnu::noinline]] void PriceQueries(size_t slots, bool value,
+                                      bool gradient) {
     const TargetModelInfo& tgt = model_->target_info(j_);
     if (value) {
-      mc_read_.assign(un, 0.0);
-      mc_write_.assign(un, 0.0);
+      std::fill_n(mc_read_.begin(), slots, 0.0);
+      std::fill_n(mc_write_.begin(), slots, 0.0);
     }
     if (gradient) {
-      grad_mc_read_.assign(un, 0.0);
-      grad_mc_write_.assign(un, 0.0);
-      drun_read_.assign(un, 0.0);
-      drun_write_.assign(un, 0.0);
-      dchi_read_.assign(un, 0.0);
-      dchi_write_.assign(un, 0.0);
+      for (std::vector<double>* v : {&grad_mc_read_, &grad_mc_write_,
+                                     &drun_read_, &drun_write_, &dchi_read_,
+                                     &dchi_write_}) {
+        std::fill_n(v->begin(), slots, 0.0);
+      }
     }
     for (int t = 0; t < 2; ++t) {
       QueryBatch& b = qb_[t];
-      const size_t count = b.log2_size.size();
+      const size_t count = b.size;
       if (count == 0) continue;
       queries_ += static_cast<int64_t>(count);
-      if (value) b.cost.resize(count);
       if (gradient) {
-        b.grad_cost.resize(count);
-        b.d_run.resize(count);
-        b.d_chi.resize(count);
         tgt.cost_model->CostWithGradBatchLog2(
             t == 1, count, b.log2_size.data(), b.log2_run.data(),
             b.run.data(), b.chi.data(), b.grad_cost.data(), b.d_run.data(),
@@ -449,10 +479,10 @@ class TargetColumnContext final : public ColumnEvaluator {
   /// sums equal the ones the pass would compute bit for bit.
   void BuildLimitPrices(size_t un) {
     for (int clamped = 0; clamped < 2; ++clamped) {
-      qb_[0].Clear();
-      qb_[1].Clear();
+      qb_[0].size = 0;
+      qb_[1].size = 0;
       for (size_t i = 0; i < un; ++i) {
-        GatherQueries(i, LimitRunCount((*workloads_)[i]),
+        GatherQueries(i, i, LimitRunCount((*workloads_)[i]),
                       clamped != 0 ? kClampedChi : diag_[i]);
       }
       PriceQueries(un, /*value=*/false, /*gradient=*/true);
@@ -461,35 +491,57 @@ class TargetColumnContext final : public ColumnEvaluator {
     }
   }
 
+  /// Lists the column's present objects in ascending index order into
+  /// present_ — first every object with L_ij > 0, then, after the layout
+  /// transform, those whose on-target rate exceeds kRateEpsilon; both
+  /// compactions are branch-free — and fills the per-present arrays and
+  /// their entries of rate_ (every other entry stays 0). Returns the count.
+  size_t ListPresent(const Layout& layout) {
+    const size_t un = diag_.size();
+    const size_t m = static_cast<size_t>(layout.num_targets());
+    const double* cell = layout.data() + j_;
+    size_t candidates = 0;
+    for (size_t i = 0; i < un; ++i) {
+      present_[candidates] = static_cast<int32_t>(i);
+      candidates += cell[i * m] > 0.0 ? 1 : 0;
+    }
+    size_t np = 0;
+    for (size_t c = 0; c < candidates; ++c) {
+      const size_t i = static_cast<size_t>(present_[c]);
+      const double f = cell[i * m];
+      const PerTargetWorkload w =
+          model_->layout_model().Transform((*workloads_)[i], f);
+      const double r = w.total_rate();
+      present_[np] = static_cast<int32_t>(i);  // np <= c: compacts in place
+      frac_[np] = f;
+      prate_[np] = r;
+      pread_[np] = w.read_rate;
+      pwrite_[np] = w.write_rate;
+      prun_[np] = w.run_count;
+      np += r > kRateEpsilon ? 1 : 0;
+    }
+    for (size_t p = 0; p < np; ++p) {
+      rate_[static_cast<size_t>(present_[p])] = prate_[p];
+    }
+    return np;
+  }
+
   /// The shared batched kernel: µ_j(layout), plus grad[i] = ∂µ_j/∂L_ij
   /// when `grad` is non-null.
   double BatchedColumn(const Layout& layout, double* grad) {
     const size_t un = static_cast<size_t>(layout.num_objects());
     LDB_CHECK_EQ(un, diag_.size());
+    LDB_CHECK_LT(j_, layout.num_targets());
+    const size_t np = ListPresent(layout);
+    const int32_t* present = present_.data();
 
-    bper_.resize(un);
-    bfrac_.resize(un);
-    brate_.resize(un);
-    binterf_.resize(un);
-    for (size_t i = 0; i < un; ++i) {
-      bfrac_[i] = std::max(0.0, layout.At(static_cast<int>(i), j_));
-      bper_[i] =
-          model_->layout_model().Transform((*workloads_)[i], bfrac_[i]);
-      const double r = bper_[i].total_rate();
-      brate_[i] = r <= kRateEpsilon ? 0.0 : r;
-    }
-
-    // Interference accumulators: one contiguous overlap-row · rate dot
-    // product per object — the column's O(N²) work, shaped so the
-    // compiler can vectorize it. The value-only pass skips absent rows;
-    // the gradient pass needs every row (an absent object's cached limit
-    // price depends on whether anything interferes with it).
-    const double* rate = brate_.data();
-    for (size_t i = 0; i < un; ++i) {
-      if (grad == nullptr && rate[i] <= 0.0) {
-        binterf_[i] = 0.0;
-        continue;
-      }
+    // Interference accumulators of the present objects: one overlap-row ·
+    // rate dot product each, over a rate column that is 0 for every absent
+    // object — the column's O(nnz) work, shaped so the compiler can
+    // vectorize it.
+    const double* rate = rate_.data();
+    for (size_t p = 0; p < np; ++p) {
+      const size_t i = static_cast<size_t>(present[p]);
       const WorkloadDesc& wi = (*workloads_)[i];
       // Four fixed-order accumulator lanes: reassociates the sum the same
       // way on every run and thread count, and gives the compiler
@@ -526,58 +578,69 @@ class TargetColumnContext final : public ColumnEvaluator {
       // keeps the lane assignment independent of where it sits in the row.
       // The short sparse sums can leave a tiny negative residue after the
       // cancellation — clamp it so χ never goes below the diagonal.
-      binterf_[i] = std::max(0.0, dot - rate[i] * diag_[i]);
+      interf_[p] = std::max(0.0, dot - prate_[p] * diag_[i]);
     }
 
     // Gather the present objects' cost queries, split by lookup table, and
     // price them.
-    qb_[0].Clear();
-    qb_[1].Clear();
-    for (size_t i = 0; i < un; ++i) {
-      if (rate[i] <= 0.0) continue;  // absent: no value, cached gradient
-      GatherQueries(i, bper_[i].run_count, binterf_[i] / rate[i] + diag_[i]);
+    qb_[0].size = 0;
+    qb_[1].size = 0;
+    for (size_t p = 0; p < np; ++p) {
+      const size_t i = static_cast<size_t>(present[p]);
+      GatherQueries(p, i, prun_[p], interf_[p] / prate_[p] + diag_[i]);
     }
-    PriceQueries(un, /*value=*/true, /*gradient=*/grad != nullptr);
+    PriceQueries(np, /*value=*/true, /*gradient=*/grad != nullptr);
 
     double mu_j = 0.0;
-    for (size_t i = 0; i < un; ++i) {
-      if (rate[i] <= 0.0) continue;
-      mu_j += bper_[i].read_rate * mc_read_[i] +
-              bper_[i].write_rate * mc_write_[i];
+    for (size_t p = 0; p < np; ++p) {
+      mu_j += pread_[p] * mc_read_[p] + pwrite_[p] * mc_write_[p];
     }
-    if (grad == nullptr) return mu_j;
+    if (grad != nullptr) Gradient(np, grad);
+    for (size_t p = 0; p < np; ++p) {
+      rate_[static_cast<size_t>(present[p])] = 0.0;
+    }
+    return mu_j;
+  }
 
-    // Absent objects' member costs at the fraction → 0+ limit: the rates
-    // vanish linearly, so ∂µ_ij/∂L_ij tends to λ^R·mcR + λ^W·mcW priced at
-    // the limiting run count and contention factor (BuildLimitPrices).
-    // Their run and χ partials are never read.
-    for (size_t i = 0; i < un; ++i) {
-      if (rate[i] > 0.0) continue;
-      const int clamped = binterf_[i] > 0.0 ? 1 : 0;
-      grad_mc_read_[i] = limit_read_[clamped][i];
-      grad_mc_write_[i] = limit_write_[clamped][i];
-    }
+  /// grad[i] = ∂µ_j/∂L_ij for every object, from the present objects'
+  /// priced partials (slots [0, np)) and the absent objects' limit prices.
+  void Gradient(size_t np, double* grad) {
+    const size_t un = diag_.size();
+    const int32_t* present = present_.data();
 
     // χ-slopes and their rate-normalized cross-term coefficients.
-    ck_.assign(un, 0.0);
-    bslope_.assign(un, 0.0);
-    for (size_t i = 0; i < un; ++i) {
-      if (rate[i] <= 0.0) continue;
-      const double slope = bper_[i].read_rate * dchi_read_[i] +
-                           bper_[i].write_rate * dchi_write_[i];
-      bslope_[i] = slope;
-      ck_[i] = slope / rate[i];
+    for (size_t p = 0; p < np; ++p) {
+      const double slope =
+          pread_[p] * dchi_read_[p] + pwrite_[p] * dchi_write_[p];
+      slope_[p] = slope;
+      ck_[p] = slope / prate_[p];
     }
 
     // Cross terms for every i at once: Σ_k c_k·O_k[i] is a transposed
     // overlap·c product; accumulating row-by-row keeps the inner loop
     // contiguous for dense rows (one fused multiply-add per element) and a
     // fixed-order scatter over sparse rows — k ascending, then row order,
-    // so the accumulation order never depends on thread count.
-    bcross_.assign(un, 0.0);
-    double* cross = bcross_.data();
-    for (size_t k = 0; k < un; ++k) {
-      const double c = ck_[k];
+    // so the accumulation order never depends on thread count. The same
+    // sweep marks the objects something present interferes with (needed
+    // for absent ones only): I_i > 0 exactly when some present k has
+    // r_k·O_i[k] > 0, because the dot product is a sum of such
+    // nonnegative terms.
+    std::fill(cross_.begin(), cross_.end(), 0.0);
+    std::fill(neighbor_.begin(), neighbor_.end(), 0);
+    double* cross = cross_.data();
+    char* neighbor = neighbor_.data();
+    const int32_t* rev_row = reverse_->row.data();
+    const double* rev_value = reverse_->value.data();
+    const bool any_absent = np < un;
+    for (size_t p = 0; p < np; ++p) {
+      const size_t k = static_cast<size_t>(present[p]);
+      if (any_absent) {
+        const double r = prate_[p];
+        for (size_t s = reverse_->begin[k]; s < reverse_->begin[k + 1]; ++s) {
+          neighbor[rev_row[s]] |= r * rev_value[s] > 0.0 ? 1 : 0;
+        }
+      }
+      const double c = ck_[p];
       if (c == 0.0) continue;
       const WorkloadDesc& wk = (*workloads_)[k];
       if (wk.has_sparse_overlap()) {
@@ -591,93 +654,134 @@ class TargetColumnContext final : public ColumnEvaluator {
       }
     }
 
+    // Absent objects: their member costs at the fraction → 0+ limit (the
+    // rates vanish linearly, so ∂µ_ij/∂L_ij tends to λ^R·mcR + λ^W·mcW
+    // priced at the limiting run count and contention factor,
+    // BuildLimitPrices) plus the cross term. Written for every object; the
+    // present ones are overwritten below.
     for (size_t i = 0; i < un; ++i) {
-      const WorkloadDesc& wi = (*workloads_)[i];
-      const double lam = wi.total_rate();
-      double g =
-          wi.read_rate * grad_mc_read_[i] + wi.write_rate * grad_mc_write_[i];
-      g += lam * (cross[i] - ck_[i] * diag_[i]);
-      if (rate[i] > 0.0) {
-        const double dq =
-            model_->layout_model().TransformRunDerivative(wi, bfrac_[i]);
-        if (dq != 0.0) {
-          g += (bper_[i].read_rate * drun_read_[i] +
-                bper_[i].write_rate * drun_write_[i]) *
-               dq;
-        }
-        g += bslope_[i] * (-binterf_[i] * lam / (rate[i] * rate[i]));
-      }
+      const int clamped = neighbor[i];
+      double g = read_rate_[i] * limit_read_[clamped][i] +
+                 write_rate_[i] * limit_write_[clamped][i];
+      g += total_rate_[i] * cross[i];
       grad[i] = g;
     }
-    return mu_j;
+
+    for (size_t p = 0; p < np; ++p) {
+      const size_t i = static_cast<size_t>(present[p]);
+      const double lam = total_rate_[i];
+      double g = read_rate_[i] * grad_mc_read_[p] +
+                 write_rate_[i] * grad_mc_write_[p];
+      g += lam * (cross[i] - ck_[p] * diag_[i]);
+      const double dq = model_->layout_model().TransformRunDerivative(
+          (*workloads_)[i], frac_[p]);
+      if (dq != 0.0) {
+        g += (pread_[p] * drun_read_[p] + pwrite_[p] * drun_write_[p]) * dq;
+      }
+      g += slope_[p] * (-interf_[p] * lam / (prate_[p] * prate_[p]));
+      grad[i] = g;
+    }
   }
 
   const TargetModel* model_;
   const WorkloadSet* workloads_;
+  const std::shared_ptr<const ReverseOverlap> reverse_;
   const int j_;
 
-  // Overlap diagonals, the query template, and the scratch buffers reused
-  // by every pass.
-  std::vector<double> diag_;
+  // Per object: overlap diagonal, read, write and total rate.
+  std::vector<double> diag_, read_rate_, write_rate_, total_rate_;
   std::vector<QueryTemplate> tmpl_;
   std::vector<size_t> tmpl_begin_;
   QueryBatch qb_[2];  // [0] read table, [1] write table
-  std::vector<PerTargetWorkload> bper_;
-  std::vector<double> bfrac_, brate_, binterf_;
-  std::vector<double> mc_read_, mc_write_, grad_mc_read_, grad_mc_write_;
   // Absent-object member costs at the fraction → 0+ limit, indexed
   // [clamped χ][object]: [0] priced at χ = O_i[i] (nothing interferes),
   // [1] at kClampedChi.
   std::vector<double> limit_read_[2], limit_write_[2];
+
+  // Scratch reused by every pass, sized N once. present_ lists a pass's
+  // present objects; the arrays below are indexed by position in that list
+  // (the limit-price build uses them per object): fraction, on-target rate,
+  // read rate, write rate and run count, interference accumulator, χ-slope
+  // and cross coefficient, member costs and their partials.
+  std::vector<int32_t> present_;
+  std::vector<double> frac_, prate_, pread_, pwrite_, prun_, interf_, slope_,
+      ck_;
+  std::vector<double> mc_read_, mc_write_, grad_mc_read_, grad_mc_write_;
   std::vector<double> drun_read_, drun_write_, dchi_read_, dchi_write_;
-  std::vector<double> ck_, bslope_, bcross_;
+  // Indexed by object: the on-target rate (0 between passes), the cross
+  // sums and the "something present interferes" bits of a gradient pass.
+  std::vector<double> rate_, cross_;
+  std::vector<char> neighbor_;
   int64_t queries_ = 0;
 };
 
 }  // namespace
 
+std::function<std::unique_ptr<ColumnEvaluator>(int j)>
+TargetModel::ColumnEvaluators(const WorkloadSet& workloads) const {
+  auto reverse =
+      std::make_shared<const ReverseOverlap>(BuildReverseOverlap(workloads));
+  const WorkloadSet* ws = &workloads;
+  return [this, ws, reverse](int j) -> std::unique_ptr<ColumnEvaluator> {
+    LDB_CHECK_GE(j, 0);
+    LDB_CHECK_LT(j, num_targets());
+    return std::make_unique<TargetColumnContext>(this, ws, reverse, j);
+  };
+}
+
 std::unique_ptr<ColumnEvaluator> TargetModel::MakeColumnEvaluator(
     const WorkloadSet& workloads, int j) const {
-  LDB_CHECK_GE(j, 0);
-  LDB_CHECK_LT(j, num_targets());
-  return std::make_unique<TargetColumnContext>(this, &workloads, j);
+  return ColumnEvaluators(workloads)(j);
+}
+
+ReverseOverlap BuildReverseOverlap(const WorkloadSet& workloads) {
+  const size_t n = workloads.size();
+  // Visits (i, O_k[i]) for every nonzero off-diagonal entry of row k, in
+  // ascending i.
+  const auto for_each_neighbor = [&workloads](size_t k, auto&& visit) {
+    const WorkloadDesc& wk = workloads[k];
+    if (wk.has_sparse_overlap()) {
+      for (size_t s = 0; s < wk.overlap_index.size(); ++s) {
+        const size_t i = static_cast<size_t>(wk.overlap_index[s]);
+        if (i != k && wk.overlap_value[s] != 0.0) {
+          visit(i, wk.overlap_value[s]);
+        }
+      }
+    } else {
+      for (size_t i = 0; i < wk.overlap.size(); ++i) {
+        if (i != k && wk.overlap[i] != 0.0) visit(i, wk.overlap[i]);
+      }
+    }
+  };
+  ReverseOverlap r;
+  r.begin.assign(n + 1, 0);
+  for (size_t k = 0; k < n; ++k) {
+    for_each_neighbor(k, [&r](size_t i, double) { ++r.begin[i + 1]; });
+  }
+  for (size_t i = 0; i < n; ++i) r.begin[i + 1] += r.begin[i];
+  r.row.resize(r.begin[n]);
+  r.value.resize(r.begin[n]);
+  std::vector<size_t> next(r.begin.begin(), r.begin.end() - 1);
+  for (size_t k = 0; k < n; ++k) {
+    for_each_neighbor(k, [&](size_t i, double o) {
+      r.row[next[i]] = static_cast<int32_t>(k);
+      r.value[next[i]++] = o;
+    });
+  }
+  return r;
 }
 
 ColumnTerms::ColumnTerms(const TargetModel* model, const WorkloadSet* workloads,
                          const Layout& layout)
-    : model_(model), workloads_(workloads), n_(workloads->size()) {
+    : model_(model),
+      workloads_(workloads),
+      n_(workloads->size()),
+      reverse_(BuildReverseOverlap(*workloads)) {
   LDB_CHECK_EQ(static_cast<size_t>(layout.num_objects()), n_);
   LDB_CHECK_EQ(layout.num_targets(), model_->num_targets());
-
-  // Reverse overlap index: the transpose of the rows ObjectTerm iterates
-  // (sparse rows when present, else the dense row's nonzero entries).
-  const auto for_each_neighbor = [this](size_t k, auto&& visit) {
-    const WorkloadDesc& wk = (*workloads_)[k];
-    if (wk.has_sparse_overlap()) {
-      for (int32_t i : wk.overlap_index) {
-        if (static_cast<size_t>(i) != k) visit(static_cast<size_t>(i));
-      }
-    } else {
-      for (size_t i = 0; i < wk.overlap.size(); ++i) {
-        if (i != k && wk.overlap[i] != 0.0) visit(i);
-      }
-    }
-  };
-  dep_begin_.assign(n_ + 1, 0);
-  for (size_t k = 0; k < n_; ++k) {
-    for_each_neighbor(k, [this](size_t i) { ++dep_begin_[i + 1]; });
-  }
   size_t widest = 0;
   for (size_t i = 0; i < n_; ++i) {
-    widest = std::max(widest, dep_begin_[i + 1]);
-    dep_begin_[i + 1] += dep_begin_[i];
-  }
-  dep_.resize(dep_begin_[n_]);
-  std::vector<size_t> next(dep_begin_.begin(), dep_begin_.end() - 1);
-  for (size_t k = 0; k < n_; ++k) {
-    for_each_neighbor(k, [&](size_t i) {
-      dep_[next[i]++] = static_cast<int32_t>(k);
-    });
+    widest = std::max(widest, reverse_.begin[i + 1] - reverse_.begin[i]);
   }
   undo_.resize(widest + 1);
 
@@ -719,18 +823,19 @@ double ColumnTerms::Set(int j, int i, double fraction, bool undo) {
                         .total_rate();
 
   const TargetModelInfo& tgt = model_->target_info(j);
-  const size_t first = dep_begin_[ui];
-  const size_t last = dep_begin_[ui + 1];
+  const int32_t* dep = reverse_.row.data();
+  const size_t first = reverse_.begin[ui];
+  const size_t last = reverse_.begin[ui + 1];
   if (undo) {
     undo_[0] = term[ui];
     for (size_t s = first; s < last; ++s) {
-      undo_[1 + s - first] = term[static_cast<size_t>(dep_[s])];
+      undo_[1 + s - first] = term[static_cast<size_t>(dep[s])];
     }
   }
   term[ui] = model_->ObjectTerm(tgt, *workloads_, rate, i, f[ui]);
   for (size_t s = first; s < last; ++s) {
-    const size_t k = static_cast<size_t>(dep_[s]);
-    term[k] = model_->ObjectTerm(tgt, *workloads_, rate, dep_[s], f[k]);
+    const size_t k = static_cast<size_t>(dep[s]);
+    term[k] = model_->ObjectTerm(tgt, *workloads_, rate, dep[s], f[k]);
   }
   double mu_j = 0.0;
   for (size_t k = 0; k < n_; ++k) mu_j += term[k];
@@ -749,8 +854,9 @@ double ColumnTerms::Trial(int j, int i, double fraction) {
   fraction_[col + ui] = saved_fraction;
   rate_[col + ui] = saved_rate;
   term_[col + ui] = undo_[0];
-  for (size_t s = dep_begin_[ui]; s < dep_begin_[ui + 1]; ++s) {
-    term_[col + static_cast<size_t>(dep_[s])] = undo_[1 + s - dep_begin_[ui]];
+  const size_t first = reverse_.begin[ui];
+  for (size_t s = first; s < reverse_.begin[ui + 1]; ++s) {
+    term_[col + static_cast<size_t>(reverse_.row[s])] = undo_[1 + s - first];
   }
   return mu_j;
 }

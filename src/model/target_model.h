@@ -2,6 +2,7 @@
 #define LAYOUTDB_MODEL_TARGET_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,22 @@ struct TargetModelInfo {
 };
 
 class ColumnTerms;
+
+/// Reverse overlap index: the CSR transpose of a workload set's overlap
+/// rows. For each object k, entries [begin[k], begin[k+1]) list, by
+/// ascending i, the objects i != k whose overlap row names k with a
+/// nonzero entry (the sparse row when present, else the dense row), and
+/// value[s] = O_i[k]. The entries left out add +0.0 to an interference sum,
+/// which never changes it, so the index holds everything a change of k's
+/// rate can move.
+struct ReverseOverlap {
+  std::vector<size_t> begin;
+  std::vector<int32_t> row;
+  std::vector<double> value;
+};
+
+/// Builds the reverse overlap index of `workloads`.
+ReverseOverlap BuildReverseOverlap(const WorkloadSet& workloads);
 
 /// The storage-system performance model of paper Section 5.2 (Figure 6):
 /// applies the layout model to every (object, target) pair, computes the
@@ -73,10 +90,16 @@ class TargetModel {
     return targets_[static_cast<size_t>(j)];
   }
 
-  /// Creates the batched value+gradient evaluator for column `j` (see
-  /// model/column_eval.h). `workloads` must outlive the evaluator.
-  /// Evaluators are independent — the solver holds one per column and uses
-  /// them concurrently.
+  /// Returns the factory of batched value+gradient evaluators, one per
+  /// column j (see model/column_eval.h). The evaluators it makes share one
+  /// reverse overlap index of `workloads`, built here once. `workloads` and
+  /// this model must outlive every evaluator. Evaluators are independent —
+  /// the solver holds one per column and uses them concurrently.
+  std::function<std::unique_ptr<ColumnEvaluator>(int j)> ColumnEvaluators(
+      const WorkloadSet& workloads) const;
+
+  /// The evaluator of column `j` alone, indexed from `workloads` as they
+  /// are now: ColumnEvaluators(workloads)(j).
   std::unique_ptr<ColumnEvaluator> MakeColumnEvaluator(
       const WorkloadSet& workloads, int j) const;
 
@@ -110,12 +133,11 @@ class TargetModel {
 /// changes without re-evaluating whole columns (the regularizer's candidate
 /// search). Column j caches L_ij, the request rate of W_ij and µ_ij for
 /// every object. Changing L_ij alters only µ_ij and the µ_kj of the objects
-/// k whose overlap row names i (the reverse-overlap dependents: the CSR
-/// transpose of the sparse rows, the nonzero entries of dense ones). Every
-/// other term keeps its value: a zero overlap entry adds +0.0 to k's
-/// interference. µ_j is the index-order sum of the terms — the terms and
-/// the order TargetUtilization adds — so every value equals
-/// TargetUtilization on the same layout bit for bit.
+/// k whose overlap row names i with a nonzero entry (i's entries in the
+/// reverse overlap index). Every other term keeps its value: a zero
+/// overlap entry adds +0.0 to k's interference. µ_j is the index-order sum
+/// of the terms — the terms and the order TargetUtilization adds — so
+/// every value equals TargetUtilization on the same layout bit for bit.
 class ColumnTerms {
  public:
   /// Prices every column of `layout`. `model` and `workloads` must outlive
@@ -146,10 +168,9 @@ class ColumnTerms {
   const TargetModel* model_;
   const WorkloadSet* workloads_;
   size_t n_;
-  // Reverse overlap index (CSR): dep_[dep_begin_[i] .. dep_begin_[i+1])
-  // lists, ascending, the objects k != i whose overlap row names i.
-  std::vector<size_t> dep_begin_;
-  std::vector<int32_t> dep_;
+  // The objects whose terms a change of L_ij can move besides i's own:
+  // reverse_.row[reverse_.begin[i] .. reverse_.begin[i+1]).
+  ReverseOverlap reverse_;
   // Column-major M x N: the clamped fraction, request rate and µ_ij of
   // every cell.
   std::vector<double> fraction_;

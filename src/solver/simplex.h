@@ -9,9 +9,20 @@ namespace ldb {
 /// Euclidean projection of `v` (length n, modified in place) onto the
 /// scaled probability simplex { x : x >= 0, sum x = radius }.
 ///
-/// Implements the O(n log n) sort-and-threshold algorithm (Held/Wolfe/
-/// Crowder; popularized by Duchi et al.). This is the feasibility engine of
-/// the projected-gradient layout solver: every layout row must stay on the
+/// Implements the sort-and-threshold algorithm (Held/Wolfe/Crowder;
+/// popularized by Duchi et al.) behind a Michelot pre-filter: a lower
+/// bound on the threshold θ, the best of (Σ v − r)/n, max v − r and one
+/// refinement over the entries above it, rules out the entries below
+/// bound − margin, and only the rest are sorted. Every gradient entry of
+/// the layout objective is >= 0, so a solver step moves each row off the
+/// simplex and every row needs a real projection; most of a row's entries
+/// are then targets the object is not on, pushed below θ by the step, and
+/// the sort shrinks to the few that remain. The dropped entries sit past
+/// the threshold index in sorted order and the margin covers the rounding
+/// of the bound and of the running thresholds, so the result is bit for bit
+/// the sort-everything projection's (tests/property_test.cc,
+/// SimplexDifferential). This is the feasibility engine of the
+/// projected-gradient layout solver: every layout row must stay on the
 /// unit simplex (the paper's integrity constraint).
 ///
 /// `scratch`, when provided, is reused for the internal sort buffer so

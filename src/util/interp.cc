@@ -1,7 +1,5 @@
 #include "util/interp.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace ldb {
@@ -35,8 +33,8 @@ constexpr size_t kMaxDims = 8;
 
 }  // namespace
 
-void LocateOnAxis(const std::vector<double>& axis, double x, size_t* index,
-                  double* weight) {
+[[gnu::noinline]] void LocateOnAxis(const std::vector<double>& axis, double x,
+                                    size_t* index, double* weight) {
   LDB_CHECK(!axis.empty());
   if (axis.size() == 1 || x <= axis.front()) {
     *index = 0;
@@ -48,11 +46,28 @@ void LocateOnAxis(const std::vector<double>& axis, double x, size_t* index,
     *weight = 1.0;
     return;
   }
-  const auto it = std::upper_bound(axis.begin(), axis.end(), x);
-  const size_t hi = static_cast<size_t>(it - axis.begin());
+  // The number of knots <= x is the position std::upper_bound returns; a
+  // count has no data-dependent branch to mispredict, and the axes are
+  // short enough (a few dozen knots at most) that reading them all costs
+  // less than one mispredicted binary-search step. Four counters give
+  // independent add chains. Kept out of line: inlined into ValueGrad3, it
+  // changes which of the lerp chain's products the compiler fuses, and
+  // with them the value's and gradient's last bits.
+  const double* a = axis.data();
+  const size_t n = axis.size();
+  size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    c0 += a[k] <= x ? 1 : 0;
+    c1 += a[k + 1] <= x ? 1 : 0;
+    c2 += a[k + 2] <= x ? 1 : 0;
+    c3 += a[k + 3] <= x ? 1 : 0;
+  }
+  for (; k < n; ++k) c0 += a[k] <= x ? 1 : 0;
+  const size_t hi = (c0 + c1) + (c2 + c3);
   const size_t lo = hi - 1;
   *index = lo;
-  *weight = (x - axis[lo]) / (axis[hi] - axis[lo]);
+  *weight = (x - a[lo]) / (a[hi] - a[lo]);
 }
 
 Result<GridInterpolator> GridInterpolator::Create(
@@ -91,7 +106,15 @@ GridInterpolator::GridInterpolator(std::vector<std::vector<double>> axes,
                                    std::vector<size_t> strides)
     : axes_(std::move(axes)),
       values_(std::move(values)),
-      strides_(std::move(strides)) {}
+      strides_(std::move(strides)),
+      inv_width_(axes_.size()) {
+  for (size_t d = 0; d < axes_.size(); ++d) {
+    const std::vector<double>& axis = axes_[d];
+    for (size_t i = 0; i + 1 < axis.size(); ++i) {
+      inv_width_[d].push_back(1.0 / (axis[i + 1] - axis[i]));
+    }
+  }
+}
 
 double GridInterpolator::At(const std::vector<double>& point) const {
   return At(point.data(), point.size());
@@ -141,7 +164,7 @@ double GridInterpolator::ValueGradCore(const double* point, size_t dims,
     dwdx[d] = (axis.size() < 2 || point[d] < axis.front() ||
                point[d] > axis.back())
                   ? 0.0
-                  : 1.0 / (axis[idx[d] + 1] - axis[idx[d]]);
+                  : inv_width_[d][idx[d]];
   }
   const size_t corners = size_t{1} << dims;
   double acc = 0.0;
@@ -213,17 +236,17 @@ double GridInterpolator::ValueGrad3(const double* point, double* grad_out,
   LocateOnAxis(axes_[0], point[0], &i0, &w0);
   LocateOnAxis(axes_[1], point[1], &i1, &w1);
   LocateOnAxis(axes_[2], point[2], &i2, &w2);
-  auto slope = [](const std::vector<double>& axis, double x,
-                  size_t i) -> double {
+  auto slope = [this](size_t d, double x, size_t i) -> double {
     // 0 where the query clamps (the interpolant is constant there) or the
     // axis is degenerate; otherwise d(weight)/d(coordinate) on the cell.
+    const std::vector<double>& axis = axes_[d];
     return (axis.size() < 2 || x < axis.front() || x > axis.back())
                ? 0.0
-               : 1.0 / (axis[i + 1] - axis[i]);
+               : inv_width_[d][i];
   };
-  const double dw0 = slope(axes_[0], point[0], i0);
-  const double dw1 = slope(axes_[1], point[1], i1);
-  const double dw2 = slope(axes_[2], point[2], i2);
+  const double dw0 = slope(0, point[0], i0);
+  const double dw1 = slope(1, point[1], i1);
+  const double dw2 = slope(2, point[2], i2);
   const size_t j0 = axes_[0].size() == 1 ? i0 : i0 + 1;
   const size_t j1 = axes_[1].size() == 1 ? i1 : i1 + 1;
   const size_t j2 = axes_[2].size() == 1 ? i2 : i2 + 1;

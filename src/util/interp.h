@@ -41,7 +41,7 @@ class GridInterpolator {
   /// derivative along every axis in one cell-location pass. `grad_out`
   /// receives dimensions() entries. This is the analytic-gradient hot
   /// path: pricing value and slopes separately would locate the cell (one
-  /// binary search per axis) multiple times for the same query.
+  /// knot count per axis) multiple times for the same query.
   ///
   /// Outside the grid the interpolant clamps and is therefore constant, so
   /// the derivative along a clamped axis is 0. Exactly on the boundary the
@@ -96,11 +96,16 @@ class GridInterpolator {
   std::vector<std::vector<double>> axes_;
   std::vector<double> values_;
   std::vector<size_t> strides_;  // row-major strides per axis
+  // inv_width_[d][i] = 1 / (axes_[d][i+1] − axes_[d][i]): the weight's
+  // slope on cell i, divided out once here rather than per gradient query.
+  std::vector<std::vector<double>> inv_width_;
 };
 
 /// Finds the cell `[i, i+1]` of a strictly increasing axis containing `x`
 /// and the interpolation weight `w` of the upper edge, clamping out-of-range
-/// queries. With a single-entry axis returns i=0, w=0.
+/// queries. With a single-entry axis returns i=0, w=0. Inside the axis, i+1
+/// is the number of knots <= x (std::upper_bound's position), counted
+/// without branches.
 void LocateOnAxis(const std::vector<double>& axis, double x, size_t* index,
                   double* weight);
 

@@ -3,7 +3,10 @@
 // exercising each component across its input space.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <ostream>
 #include <tuple>
@@ -21,6 +24,7 @@
 #include "model/layout_model.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
+#include "recorded_bits.h"
 #include "scenario/player.h"
 #include "scenario/scenario.h"
 #include "solver/projected_gradient.h"
@@ -30,6 +34,7 @@
 #include "toy_nlp.h"
 #include "trace/analyzer.h"
 #include "util/check.h"
+#include "util/interp.h"
 #include "util/random.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -96,6 +101,258 @@ INSTANTIATE_TEST_SUITE_P(
     Dims, SimplexProperty,
     ::testing::Combine(::testing::Values(2, 3, 4, 8, 40),
                        ::testing::Values(uint64_t{1}, uint64_t{99})));
+
+// ------------------------------- projection and lookup differentials
+
+/// Bit pattern of a double (distinguishes -0.0 from +0.0).
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The sort-everything projection ProjectToSimplex replaced: sort all n
+/// entries, take the largest ρ whose running threshold the ρ-th entry
+/// exceeds, shift by θ. The oracle the pre-filtered projection must match
+/// bit for bit. Returns θ.
+double SortEverythingProjection(double* v, size_t n, double radius) {
+  std::vector<double> u(v, v + n);
+  std::sort(u.begin(), u.end(), std::greater<double>());
+  double cumsum = 0.0;
+  size_t rho = 0;
+  double running = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    running += u[k];
+    const double t = (running - radius) / static_cast<double>(k + 1);
+    if (u[k] - t > 0.0) {
+      rho = k + 1;
+      cumsum = running;
+    }
+  }
+  LDB_CHECK_GT(rho, 0u);
+  const double theta = (cumsum - radius) / static_cast<double>(rho);
+  for (size_t i = 0; i < n; ++i) v[i] = std::max(0.0, v[i] - theta);
+  return theta;
+}
+
+/// Projects `row` both ways and requires identical bits in every entry.
+void ExpectProjectionMatchesOracle(const std::vector<double>& row,
+                                   double radius, const char* kind) {
+  std::vector<double> got = row;
+  std::vector<double> want = row;
+  std::vector<double> scratch;
+  ProjectToSimplex(got.data(), got.size(), radius, &scratch);
+  SortEverythingProjection(want.data(), want.size(), radius);
+  for (size_t i = 0; i < row.size(); ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+        << kind << ": n=" << row.size() << " radius=" << radius << " i=" << i
+        << " in=" << row[i] << " got=" << got[i] << " want=" << want[i];
+  }
+}
+
+TEST(SimplexDifferential, MatchesSortEverythingOracleOnRandomRows) {
+  Rng rng(17);
+  for (const size_t n : {1, 2, 3, 4, 8, 16, 40}) {
+    for (const double radius : {1.0, 0.25, 3.0}) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> row(n);
+        for (double& x : row) x = rng.Uniform(-3, 3);
+        ExpectProjectionMatchesOracle(row, radius, "uniform");
+        // The same shape at extreme magnitudes.
+        for (double& x : row) x *= 1e12;
+        ExpectProjectionMatchesOracle(row, radius, "scaled up");
+        for (double& x : row) x *= 1e-24;
+        ExpectProjectionMatchesOracle(row, radius, "scaled down");
+      }
+    }
+  }
+}
+
+TEST(SimplexDifferential, MatchesOracleOnTiesAndSignedZeros) {
+  Rng rng(18);
+  const double levels[] = {-1.0, -0.0, 0.0, 0.25, 0.5, 1.0};
+  for (const size_t n : {1, 2, 5, 16, 40}) {
+    for (const double radius : {1.0, 0.5, 2.0}) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> row(n);
+        for (double& x : row) x = levels[rng.UniformInt(uint64_t{6})];
+        ExpectProjectionMatchesOracle(row, radius, "ties");
+      }
+      ExpectProjectionMatchesOracle(std::vector<double>(n, 0.0), radius,
+                                    "all +0");
+      ExpectProjectionMatchesOracle(std::vector<double>(n, -0.0), radius,
+                                    "all -0");
+      ExpectProjectionMatchesOracle(std::vector<double>(n, 0.7), radius,
+                                    "all equal");
+    }
+  }
+}
+
+TEST(SimplexDifferential, MatchesOracleOnNearTiesAtTheta) {
+  // Entries at θ, one ulp either side of it and a few ulps away: the
+  // pre-filter's margin must keep every entry the sorted loop could count.
+  Rng rng(19);
+  for (const size_t n : {2, 3, 16, 40}) {
+    for (const double radius : {1.0, 0.3, 4.0}) {
+      for (int trial = 0; trial < 100; ++trial) {
+        std::vector<double> row(n);
+        for (double& x : row) x = rng.Uniform(-2, 2);
+        std::vector<double> projected = row;
+        const double theta =
+            SortEverythingProjection(projected.data(), n, radius);
+        double below = theta, above = theta;
+        for (int u = 0; u < 3; ++u) {
+          below = std::nextafter(below, -HUGE_VAL);
+          above = std::nextafter(above, HUGE_VAL);
+        }
+        const double near[] = {theta,
+                               std::nextafter(theta, -HUGE_VAL),
+                               std::nextafter(theta, HUGE_VAL),
+                               below,
+                               above};
+        // Overwrite up to half the entries that sit at or below θ.
+        std::vector<double> tied = row;
+        size_t placed = 0;
+        for (size_t i = 0; i < n && placed < (n + 1) / 2; ++i) {
+          if (row[i] <= theta) {
+            tied[i] = near[rng.UniformInt(uint64_t{5})];
+            ++placed;
+          }
+        }
+        ExpectProjectionMatchesOracle(tied, radius, "near theta");
+      }
+    }
+  }
+}
+
+TEST(SimplexDifferential, MatchesOracleOnSolverShapedRows) {
+  // The solver's rows: n = 16 targets, ~6 holding the object on the
+  // simplex, moved by a step against a nonnegative gradient (so the row
+  // leaves the simplex), at step sizes from tiny to large.
+  Rng rng(20);
+  const size_t n = 16;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> row(n, 0.0);
+    double sum = 0.0;
+    for (int s = 0; s < 6; ++s) {
+      const size_t j = static_cast<size_t>(rng.UniformInt(uint64_t{16}));
+      row[j] = rng.Uniform(0.05, 1.0);
+    }
+    for (const double x : row) sum += x;
+    for (double& x : row) x /= sum;
+    const double step = std::pow(10.0, rng.Uniform(-6, 0));
+    for (double& x : row) {
+      const double g = rng.Uniform() < 0.2 ? 0.0 : rng.Uniform(0, 2);
+      x -= step * g;
+    }
+    ExpectProjectionMatchesOracle(row, 1.0, "solver-shaped");
+  }
+}
+
+/// LocateOnAxis as it was written over std::upper_bound: the reference the
+/// branch-free knot count must reproduce bit for bit.
+void UpperBoundLocate(const std::vector<double>& axis, double x,
+                      size_t* index, double* weight) {
+  if (axis.size() == 1 || x <= axis.front()) {
+    *index = 0;
+    *weight = 0.0;
+    return;
+  }
+  if (x >= axis.back()) {
+    *index = axis.size() - 2;
+    *weight = 1.0;
+    return;
+  }
+  const auto it = std::upper_bound(axis.begin(), axis.end(), x);
+  const size_t hi = static_cast<size_t>(it - axis.begin());
+  const size_t lo = hi - 1;
+  *index = lo;
+  *weight = (x - axis[lo]) / (axis[hi] - axis[lo]);
+}
+
+TEST(LookupDifferential, LocateOnAxisMatchesUpperBound) {
+  Rng rng(21);
+  std::vector<std::vector<double>> axes{{5.0}, {-1.0, 2.0}, {0, 0.5, 1, 2, 4}};
+  std::vector<double> long_axis{-3.0};
+  for (int k = 1; k < 40; ++k) {
+    long_axis.push_back(long_axis.back() + rng.Uniform(0.01, 2.0));
+  }
+  axes.push_back(long_axis);
+  for (const std::vector<double>& axis : axes) {
+    std::vector<double> xs{-HUGE_VAL, HUGE_VAL, axis.front() - 1.0,
+                           axis.back() + 1.0};
+    for (size_t k = 0; k < axis.size(); ++k) {
+      xs.push_back(axis[k]);
+      xs.push_back(std::nextafter(axis[k], -HUGE_VAL));
+      xs.push_back(std::nextafter(axis[k], HUGE_VAL));
+      if (k + 1 < axis.size()) xs.push_back(0.5 * (axis[k] + axis[k + 1]));
+    }
+    for (int q = 0; q < 500; ++q) {
+      xs.push_back(rng.Uniform(axis.front() - 1.0, axis.back() + 1.0));
+    }
+    for (const double x : xs) {
+      size_t got_i = 99, want_i = 98;
+      double got_w = -1.0, want_w = -2.0;
+      LocateOnAxis(axis, x, &got_i, &got_w);
+      UpperBoundLocate(axis, x, &want_i, &want_w);
+      ASSERT_EQ(got_i, want_i) << "axis size " << axis.size() << " x=" << x;
+      ASSERT_EQ(Bits(got_w), Bits(want_w))
+          << "axis size " << axis.size() << " x=" << x;
+    }
+  }
+}
+
+TEST(LookupDifferential, BatchKernelsMatchRecordedBits) {
+  // AtBatch and AtWithGradBatch (value, every axis partial, and the
+  // value-kernel rounding through at_out) over a 3-axis grid with uneven
+  // knots — a 40-knot middle axis among them — and over one whose middle
+  // axis has a single entry, at random points, exact knots and points
+  // beyond both ends of every axis. The hash was recorded with the weight
+  // slopes divided per query and the cells found by std::upper_bound; the
+  // cached reciprocals and the knot count must reproduce it.
+  auto compute = [] {
+    Rng rng(22);
+    std::vector<double> a0{10, 12, 13, 16, 17.5, 20};
+    std::vector<double> a1{0.0};
+    for (int k = 1; k < 40; ++k) a1.push_back(a1.back() + rng.Uniform(0.1, 1));
+    std::vector<double> a2{0, 0.5, 1, 2, 4, 8};
+    uint64_t h = Fnv1a(nullptr, 0);
+    for (const bool single : {false, true}) {
+      const std::vector<double> mid = single ? std::vector<double>{3.0} : a1;
+      std::vector<double> values(a0.size() * mid.size() * a2.size());
+      for (double& v : values) v = rng.Uniform(0.001, 0.05);
+      auto grid = GridInterpolator::Create({a0, mid, a2}, values);
+      LDB_CHECK(grid.ok());
+      const size_t count = 3000;
+      std::vector<double> c[3];
+      const std::vector<double>* axes[3] = {&a0, &mid, &a2};
+      for (int d = 0; d < 3; ++d) {
+        const std::vector<double>& axis = *axes[d];
+        for (size_t q = 0; q < count; ++q) {
+          const double pick = rng.Uniform();
+          if (pick < 0.15) {
+            c[d].push_back(axis[rng.UniformInt(uint64_t{axis.size()})]);
+          } else if (pick < 0.2) {
+            c[d].push_back(axis.front() - rng.Uniform(0, 3));
+          } else if (pick < 0.25) {
+            c[d].push_back(axis.back() + rng.Uniform(0, 3));
+          } else {
+            c[d].push_back(rng.Uniform(axis.front(), axis.back()));
+          }
+        }
+      }
+      const double* coords[3] = {c[0].data(), c[1].data(), c[2].data()};
+      std::vector<double> value(count), at(count), batch(count);
+      std::vector<double> g0(count), g1(count), g2(count);
+      double* grads[3] = {g0.data(), g1.data(), g2.data()};
+      grid->AtWithGradBatch(count, coords, value.data(), grads, at.data());
+      grid->AtBatch(count, coords, batch.data());
+      for (const std::vector<double>* out :
+           {&value, &at, &batch, &g0, &g1, &g2}) {
+        h = Fnv1a(out->data(), sizeof(double) * count, h);
+      }
+    }
+    return h;
+  };
+  ExpectRecordedBits("trilinear batch kernels", 0x3ff32230bb805a2full,
+                     compute);
+}
 
 // ------------------------------------------------- LVM mapping
 
@@ -1509,6 +1766,111 @@ TEST_P(GradientProperty, AbsentCellsMatchFreshEvaluatorAndDifferences) {
   CheckGradientContainment(gi.nlp, present, n, m);
   CheckGradientContainment(gi.nlp, absent, n, m);
   CheckGradientContainment(gi.nlp, alone, n, m);
+}
+
+TEST_P(GradientProperty, PresentListMatchesFreshEvaluator) {
+  // The column pass visits present cells only: it lists the objects with
+  // L_ij > 0 and an on-target rate above the presence threshold, and of an
+  // absent object it learns only whether a present one interferes with it,
+  // through the reverse overlap index. Overlap shapes that index must get
+  // right:
+  //   sparse   tenants of four plus one-way cross links (i names k, k does
+  //            not name i), as the fleet generator builds them;
+  //   dense    rows with many exact zeros.
+  // Each column's reused evaluator must return a fresh evaluator's value
+  // and gradient bit for bit, and its value pass the fused pass's value,
+  // over layouts with absent cells, a column with nothing present, a
+  // column with one object alone, and cells with 0 < L_ij whose rate is at
+  // or below the threshold, which must price exactly as L_ij = 0.
+  Rng rng(GetParam() + 3000);
+  const int n = 9 + static_cast<int>(rng.UniformInt(uint64_t{8}));
+  const int m = 3;
+  for (const bool sparse : {true, false}) {
+    GradientInstance gi = MakeGradientInstance(n, m, &rng);
+    WorkloadSet& ws = *gi.workloads;
+    for (int i = 0; i < n; ++i) {
+      std::vector<double>& row = ws[static_cast<size_t>(i)].overlap;
+      for (int k = 0; k < n; ++k) {
+        const bool same_tenant = k / 4 == i / 4;
+        if (k != i && (sparse ? !same_tenant : rng.Uniform() < 0.6)) {
+          row[static_cast<size_t>(k)] = 0.0;
+        }
+      }
+    }
+    if (sparse) {
+      for (int i = 0; i < n; i += 3) {
+        const int k = (i + 5) % n;
+        if (k / 4 == i / 4) continue;
+        ws[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] =
+            rng.Uniform(0.01, 0.1);
+        ws[static_cast<size_t>(k)].overlap[static_cast<size_t>(i)] = 0.0;
+      }
+      SparsifyOverlap(&ws);
+      ASSERT_TRUE(ws[0].has_sparse_overlap());
+    }
+    ASSERT_TRUE(ValidateWorkloadSet(ws).ok());
+
+    Layout mixed = MakeGradientLayout(n, m, &rng);
+    for (int i = 0; i < n; ++i) {
+      if (rng.Uniform() < 0.4) mixed.Set(i, static_cast<int>(i % m), 0.0);
+    }
+    Layout empty_column = mixed;
+    for (int i = 0; i < n; ++i) empty_column.Set(i, 1, 0.0);
+    Layout alone = mixed;
+    for (int i = 1; i < n; ++i) alone.Set(i, 2, 0.0);
+    alone.Set(0, 2, 0.5);
+    // 1e-16 of a rate below 200 req/s is below the 1e-12 threshold.
+    Layout tiny = mixed;
+    Layout tiny_zeroed = mixed;
+    for (int i = 0; i < n; i += 2) {
+      for (int j = 0; j < m; ++j) {
+        if (rng.Uniform() < 0.5) {
+          tiny.Set(i, j, 1e-16);
+          tiny_zeroed.Set(i, j, 0.0);
+        }
+      }
+    }
+
+    const std::vector<const Layout*> sequence{
+        &mixed, &empty_column, &tiny, &alone, &mixed, &tiny_zeroed, &tiny};
+    std::vector<double> grad(static_cast<size_t>(n));
+    std::vector<double> fresh_grad(static_cast<size_t>(n));
+    for (int j = 0; j < m; ++j) {
+      std::unique_ptr<ColumnEvaluator> reused = gi.nlp.make_column_eval(j);
+      for (size_t step = 0; step < sequence.size(); ++step) {
+        const Layout& layout = *sequence[step];
+        const double v = reused->EvaluateWithGradient(layout, grad.data());
+        std::unique_ptr<ColumnEvaluator> fresh = gi.nlp.make_column_eval(j);
+        EXPECT_EQ(v, fresh->EvaluateWithGradient(layout, fresh_grad.data()))
+            << "sparse=" << sparse << " j=" << j << " step=" << step;
+        EXPECT_EQ(v, reused->Evaluate(layout))
+            << "sparse=" << sparse << " j=" << j << " step=" << step;
+        const double scalar = gi.nlp.target_utilization(layout, j);
+        EXPECT_NEAR(v, scalar, 1e-9 * std::max(1.0, std::fabs(scalar)))
+            << "sparse=" << sparse << " j=" << j << " step=" << step;
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(Bits(grad[static_cast<size_t>(i)]),
+                    Bits(fresh_grad[static_cast<size_t>(i)]))
+              << "sparse=" << sparse << " i=" << i << " j=" << j
+              << " step=" << step;
+        }
+      }
+      // Sub-threshold cells are absent: same value and gradient bits as
+      // the layout with those cells at exactly 0.
+      std::vector<double> zeroed_grad(static_cast<size_t>(n));
+      EXPECT_EQ(Bits(reused->EvaluateWithGradient(tiny, grad.data())),
+                Bits(reused->EvaluateWithGradient(tiny_zeroed,
+                                                  zeroed_grad.data())))
+          << "sparse=" << sparse << " j=" << j;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(Bits(grad[static_cast<size_t>(i)]),
+                  Bits(zeroed_grad[static_cast<size_t>(i)]))
+            << "sparse=" << sparse << " i=" << i << " j=" << j;
+      }
+    }
+    CheckGradientContainment(gi.nlp, mixed, n, m);
+    CheckGradientContainment(gi.nlp, alone, n, m);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GradientProperty,

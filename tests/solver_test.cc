@@ -1,8 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -20,6 +18,7 @@
 #include "solver/multistart.h"
 #include "solver/projected_gradient.h"
 #include "solver/randomized.h"
+#include "recorded_bits.h"
 #include "solver/simplex.h"
 #include "toy_nlp.h"
 #include "util/check.h"
@@ -331,17 +330,6 @@ TEST(RandomizedSearchTest, DeterministicForEqualSeeds) {
 
 // ------------------------------------------------- Bit-identity regression
 
-/// FNV-1a over raw bytes, continuing from `h`.
-uint64_t Fnv1a(const void* data, size_t bytes,
-               uint64_t h = 14695981039346656037ull) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t b = 0; b < bytes; ++b) {
-    h ^= p[b];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Hash of a solve's layout (raw doubles, row-major) and max utilization.
 uint64_t LayoutBits(const Layout& layout, double max_utilization) {
   uint64_t h = Fnv1a(&max_utilization, sizeof(max_utilization));
@@ -464,35 +452,6 @@ uint64_t SolveBits(const LayoutNlpProblem& nlp,
   auto r = MultiStartSolver().Solve(nlp, seeds);
   LDB_CHECK(r.ok());
   return LayoutBits(r->layout, r->max_utilization);
-}
-
-/// True when this build matches the one the hashes below were recorded
-/// on: GCC 12, kernels compiled with AVX2+FMA, no sanitizer instrumentation
-/// (RelWithDebInfo and Release agree). Floating-point bit patterns depend
-/// on which products the compiler fuses into FMAs and how it vectorizes, so
-/// other toolchains and instrumented builds produce different bits.
-constexpr bool kBitsRecordedForThisBuild =
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
-    defined(LDB_SIMD_KERNEL_FLAGS) && !defined(__SANITIZE_ADDRESS__) && \
-    !defined(__SANITIZE_THREAD__)
-    true;
-#else
-    false;
-#endif
-
-/// Checks one solve's hash against the recorded one. On a build the hashes
-/// were not recorded on, checks instead that the solve repeats bit for bit,
-/// and prints the hash it saw.
-void ExpectRecordedBits(const char* name, uint64_t recorded,
-                        const std::function<uint64_t()>& solve) {
-  const uint64_t got = solve();
-  if (kBitsRecordedForThisBuild) {
-    EXPECT_EQ(got, recorded) << name;
-    return;
-  }
-  EXPECT_EQ(solve(), got) << name << ": the solve is not deterministic";
-  std::printf("[ unrecorded build ] %s: 0x%016llx\n", name,
-              static_cast<unsigned long long>(got));
 }
 
 // The solver's result is a pure function of its input, so a speedup of the
